@@ -12,6 +12,7 @@ module Routers = Disco_experiments.Routers
 module Protocol = Disco_experiments.Protocol
 module Scale = Disco_experiments.Scale
 module Telemetry = Disco_util.Telemetry
+module Json = Disco_util.Json
 module Graph = Disco_graph.Graph
 module D = Disco_core.Dataplane
 
@@ -78,24 +79,29 @@ let measure_scheme tb ~pairs (p : Protocol.packed) =
   ]
 
 let json_of_rows ~seed ~n ~walks rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"figure\": \"alloc\",\n  \"seed\": %d,\n  \"n\": %d,\n  \
-        \"walks_per_row\": %d,\n  \"rows\": [\n" seed n walks);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"scheme\": %S, \"kind\": %S, \"walks\": %d, \"hops\": %d, \
-            \"minor_words\": %.0f, \"words_per_hop\": %.1f, \
-            \"words_per_walk\": %.1f}%s\n"
-           r.scheme r.kind r.walks r.hops r.minor_words r.words_per_hop
-           r.words_per_walk
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [
+         ("figure", Json.Str "alloc");
+         ("seed", Json.Int seed);
+         ("n", Json.Int n);
+         ("walks_per_row", Json.Int walks);
+         ( "rows",
+           Json.Arr
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ("scheme", Json.Str r.scheme);
+                      ("kind", Json.Str r.kind);
+                      ("walks", Json.Int r.walks);
+                      ("hops", Json.Int r.hops);
+                      ("minor_words", Json.Num r.minor_words);
+                      ("words_per_hop", Json.Num r.words_per_hop);
+                      ("words_per_walk", Json.Num r.words_per_walk);
+                    ])
+                rows) );
+       ])
 
 (* --- baseline gate (--baseline FILE) --------------------------------
 
@@ -106,8 +112,6 @@ let json_of_rows ~seed ~n ~walks rows =
    reordered from the exact [json_of_rows] layout.  Allocation counts
    are deterministic for a fixed seed and build, so the 20% headroom is
    for compiler-version drift, not noise. *)
-
-module Json = Disco_util.Json
 
 let parse_baseline path =
   match Json.of_file path with
@@ -174,6 +178,7 @@ let run ?json ?baseline ~seed scale =
   | Some path ->
       let oc = open_out path in
       output_string oc (json_of_rows ~seed ~n ~walks rows);
+      output_char oc '\n';
       close_out oc;
       Printf.printf "wrote %s\n" path);
   match baseline with None -> () | Some b -> gate ~baseline:b rows

@@ -13,6 +13,8 @@ open Cmdliner
 module Figures = Disco_experiments.Figures
 module Results = Disco_experiments.Results
 module Cli = Disco_experiments.Cli
+module Alloc = Disco_bench.Alloc
+module Scaling = Disco_bench.Scaling
 
 let run figure scale seed jobs json baseline =
   Results.reset ();
@@ -23,12 +25,6 @@ let run figure scale seed jobs json baseline =
          --baseline gates words/hop against a committed snapshot. *)
       try
         Alloc.run ?json ?baseline ~seed scale;
-        `Ok ()
-      with Sys_error e -> `Error (false, e))
-  | "throughput" -> (
-      (* Same ownership: --json snapshots BENCH_throughput.json. *)
-      try
-        Throughput.run ?json ~seed scale;
         `Ok ()
       with Sys_error e -> `Error (false, e))
   | "scaling" -> (
@@ -74,7 +70,7 @@ let cmd =
       ret
         (const run
         $ Cli.figure_term
-            ~extra:[ "all"; "micro"; "alloc"; "throughput"; "scaling" ]
+            ~extra:[ "all"; "micro"; "alloc"; "scaling" ]
             ~default:"all" ()
         $ Cli.scale_term $ Cli.seed_term $ Cli.jobs_term $ json $ baseline))
 

@@ -138,43 +138,43 @@ let measure_scheme tb ~ws (p : Protocol.packed) =
 (* --- checkpoint file ------------------------------------------------- *)
 
 let json_of_rows ~seed rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"figure\": \"scaling\",\n  \"seed\": %d,\n  \"topology\": \
-        \"glp\",\n  \"rows\": [\n" seed);
-  List.iteri
-    (fun i r ->
-      let stretch =
-        (* bare nan is not JSON; a row with no delivered walk omits the
-           member and [read_checkpoint] restores the nan *)
-        if Float.is_nan r.stretch_mean then ""
-        else Printf.sprintf "\"stretch_mean\": %.4f, " r.stretch_mean
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"scheme\": %S, \"n\": %d, \"state_nodes\": %d, \
-            \"state_mean_bytes\": %.1f, \"state_max_bytes\": %.1f, \
-            \"walks\": %d, \"delivered\": %d, %s\"build_s\": %.2f, \
-            \"vmhwm_kb\": %.0f}%s\n"
-           r.scheme r.n r.state_nodes r.state_mean r.state_max r.walks
-           r.delivered stretch r.build_s r.vmhwm_kb
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [
+         ("figure", Json.Str "scaling");
+         ("seed", Json.Int seed);
+         ("topology", Json.Str "glp");
+         ( "rows",
+           Json.Arr
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ("scheme", Json.Str r.scheme);
+                      ("n", Json.Int r.n);
+                      ("state_nodes", Json.Int r.state_nodes);
+                      ("state_mean_bytes", Json.Num r.state_mean);
+                      ("state_max_bytes", Json.Num r.state_max);
+                      ("walks", Json.Int r.walks);
+                      ("delivered", Json.Int r.delivered);
+                      ("stretch_mean", Json.Num r.stretch_mean);
+                      ("build_s", Json.Num r.build_s);
+                      ("vmhwm_kb", Json.Num r.vmhwm_kb);
+                    ])
+                rows) );
+       ])
 
 let checkpoint ~seed ~path rows =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   output_string oc (json_of_rows ~seed rows);
+  output_char oc '\n';
   close_out oc;
   Sys.rename tmp path
 
-(* Rows already in the checkpoint, oldest first.  [stretch_mean] may be
-   the literal [nan] when no walk delivered; our reader rejects bare nan
-   (it is not JSON), so those resume rows drop the field and re-read as
-   nan here. *)
+(* Rows already in the checkpoint, oldest first.  A row with no delivered
+   walk has a nan [stretch_mean], which the writer prints as null; it
+   reads back as nan here. *)
 let read_checkpoint path =
   if not (Sys.file_exists path) then []
   else

@@ -1,3 +1,5 @@
+module Json = Disco_util.Json
+
 type counterexample = {
   original : Scenario.t;
   minimized : Scenario.t;
@@ -121,18 +123,25 @@ let report s =
   Buffer.contents b
 
 let counterexample_to_json cx =
-  Printf.sprintf
-    {|{"original":%s,"minimized":%s,"shrink_runs":%d,"replay":"%s","violations":[%s]}|}
-    (Scenario.to_json cx.original)
-    (Scenario.to_json cx.minimized)
-    cx.shrink_runs
-    (Scenario.to_string cx.minimized)
-    (String.concat "," (List.map Violation.to_json cx.violations))
+  Json.Obj
+    [
+      ("original", Scenario.to_json cx.original);
+      ("minimized", Scenario.to_json cx.minimized);
+      ("shrink_runs", Json.Int cx.shrink_runs);
+      ("replay", Json.Str (Scenario.to_string cx.minimized));
+      ("violations", Json.Arr (List.map Violation.to_json cx.violations));
+    ]
 
 let to_json s =
-  Printf.sprintf
-    {|{"run_seed":%d,"cases":%d,"max_nodes":%d,"schemes":[%s],"total_pairs":%d,"total_route_failures":%d,"passed":%b,"counterexamples":[%s]}|}
-    s.run_seed s.cases s.max_nodes
-    (String.concat "," (List.map (fun n -> Printf.sprintf "%S" n) s.schemes))
-    s.total_pairs s.total_route_failures (passed s)
-    (String.concat "," (List.map counterexample_to_json s.counterexamples))
+  Json.to_string
+    (Json.Obj
+       [
+         ("run_seed", Json.Int s.run_seed);
+         ("cases", Json.Int s.cases);
+         ("max_nodes", Json.Int s.max_nodes);
+         ("schemes", Json.Arr (List.map (fun n -> Json.Str n) s.schemes));
+         ("total_pairs", Json.Int s.total_pairs);
+         ("total_route_failures", Json.Int s.total_route_failures);
+         ("passed", Json.Bool (passed s));
+         ("counterexamples", Json.Arr (List.map counterexample_to_json s.counterexamples));
+       ])

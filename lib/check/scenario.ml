@@ -2,6 +2,7 @@ module Gen = Disco_graph.Gen
 module Graph = Disco_graph.Graph
 module Dijkstra = Disco_graph.Dijkstra
 module Rng = Disco_util.Rng
+module Json = Disco_util.Json
 
 type family = Gnm | Geometric | As_level | Router_level | Ring | Grid | Star
 type workload = Uniform | Local | Hotspot
@@ -157,10 +158,15 @@ let of_string s =
   |> List.fold_left parse_field (Ok default)
 
 let to_json t =
-  Printf.sprintf
-    {|{"seed":%d,"family":"%s","n":%d,"pairs":%d,"workload":"%s","churn_steps":%d}|}
-    t.seed (family_name t.family) t.n t.pairs (workload_name t.workload)
-    t.churn_steps
+  Json.Obj
+    [
+      ("seed", Json.Int t.seed);
+      ("family", Json.Str (family_name t.family));
+      ("n", Json.Int t.n);
+      ("pairs", Json.Int t.pairs);
+      ("workload", Json.Str (workload_name t.workload));
+      ("churn_steps", Json.Int t.churn_steps);
+    ]
 
 let replay_command t =
   Printf.sprintf "dune exec bin/disco_check.exe -- --replay '%s'" (to_string t)

@@ -63,7 +63,7 @@ val to_string : t -> string
     [disco_check --replay]. *)
 
 val of_string : string -> (t, string) result
-val to_json : t -> string
+val to_json : t -> Disco_util.Json.t
 
 val replay_command : t -> string
 (** The exact shell command that re-runs just this scenario. *)

@@ -1,3 +1,5 @@
+module Json = Disco_util.Json
+
 type kind =
   | Invalid_path of { phase : string; src : int; dst : int; reason : string }
   | Delivery_failure of { phase : string; src : int; dst : int }
@@ -53,20 +55,6 @@ let describe_kind = function
 
 let describe t = Printf.sprintf "[%s] %s" t.scheme (describe_kind t.kind)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let kind_label = function
   | Invalid_path _ -> "invalid-path"
   | Delivery_failure _ -> "delivery-failure"
@@ -82,6 +70,9 @@ let kind_label = function
   | Fastpath_divergence _ -> "fastpath-divergence"
 
 let to_json t =
-  Printf.sprintf {|{"scheme":"%s","kind":"%s","detail":"%s"}|} (escape t.scheme)
-    (kind_label t.kind)
-    (escape (describe_kind t.kind))
+  Json.Obj
+    [
+      ("scheme", Json.Str t.scheme);
+      ("kind", Json.Str (kind_label t.kind));
+      ("detail", Json.Str (describe_kind t.kind));
+    ]

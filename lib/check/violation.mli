@@ -48,4 +48,4 @@ type t = { scheme : string; kind : kind }
 val describe : t -> string
 (** One human-readable line. *)
 
-val to_json : t -> string
+val to_json : t -> Disco_util.Json.t

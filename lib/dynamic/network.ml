@@ -583,15 +583,6 @@ let route t ~src ~dst =
   else if not (t.nodes.(src).active && t.nodes.(dst).active) then None
   else seek src [] (4 * n)
 
-let debug_dump t v =
-  let nd = t.nodes.(v) in
-  Printf.eprintf "node %d active=%b lm=%b known_lms=[%s] owner_of_19=%s res_store=[%s] routes_to_19=%b addr_19=%b\n"
-    v nd.active nd.is_lm
-    (String.concat ";" (List.map string_of_int (List.sort compare (known_landmarks nd))))
-    (match resolution_owner t nd t.nodes.(19).name with Some o -> string_of_int o | None -> "-")
-    (String.concat ";" (Hashtbl.fold (fun k _ acc -> string_of_int k :: acc) nd.res_store []))
-    (Hashtbl.mem nd.routes 19) (Hashtbl.mem nd.addr_store 19)
-
 let reachable_fraction t ~pairs =
   match pairs with
   | [] -> 1.0

@@ -76,7 +76,6 @@ val route_table_size : t -> int -> int
 val address_of : t -> int -> Msg.address option
 (** The node's current self-computed address. *)
 
-val debug_dump : t -> int -> unit
 val route : t -> src:int -> dst:int -> int list option
 (** Walk a packet from [src] toward [dst]'s flat name using only per-node
     protocol state (tables, address stores, resolution), with

@@ -96,19 +96,6 @@ let map_pairs ?jobs ?tel ?dests_per_src ~pairs ~seed rng graph f =
   let groups = draw_pairs ?dests_per_src rng ~n:(Graph.n graph) ~pairs in
   map_groups ?jobs ?tel ~seed graph groups f
 
-let iter_groups ?tel graph groups f =
-  ignore
-    (run ?tel graph
-       (plan ~seed:0 groups)
-       ~init:(fun _ -> ())
-       ~visit:(fun () ~tel:_ ~src ~dst ~dist -> f ~src ~dst ~dist)
-      : unit array)
-
-let iter_pairs ?tel ?dests_per_src ~pairs rng graph f =
-  iter_groups ?tel graph
-    (draw_pairs ?dests_per_src rng ~n:(Graph.n graph) ~pairs)
-    f
-
 type sampled = {
   router : string;
   flat_names : string;

@@ -103,28 +103,6 @@ val map_pairs :
   'b array
 (** [draw_pairs] + {!map_groups}. *)
 
-val iter_groups :
-  ?tel:Disco_util.Telemetry.t ->
-  Disco_graph.Graph.t ->
-  (int * int list) list ->
-  (src:int -> dst:int -> dist:float -> unit) ->
-  unit
-[@@ocaml.deprecated "use Engine.plan/Engine.run (or Engine.map_groups)"]
-(** Sequential closure-style loop over a drawn plan.
-    @deprecated the task API supersedes it. *)
-
-val iter_pairs :
-  ?tel:Disco_util.Telemetry.t ->
-  ?dests_per_src:int ->
-  pairs:int ->
-  Disco_util.Rng.t ->
-  Disco_graph.Graph.t ->
-  (src:int -> dst:int -> dist:float -> unit) ->
-  unit
-[@@ocaml.deprecated "use Engine.map_pairs"]
-(** [draw_pairs] + [iter_groups].
-    @deprecated the task API supersedes it. *)
-
 type sampled = {
   router : string;
   flat_names : string;

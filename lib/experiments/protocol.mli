@@ -12,11 +12,22 @@
 
     - a {e data plane} — a per-hop {!val:ROUTER.forward} function plus the
       headers sources emit. The shared walker ({!module:Walk}) executes it
-      hop by hop; this is what the engine and every figure measure.
+      hop by hop; the sampled-pairs engine measures it.
     - two {e oracles} — {!val:ROUTER.oracle_first}/{!val:ROUTER.oracle_later},
       the closed-form route computations from the simulator's global view.
-      They exist to check the data plane (disco-check's walk ≡ oracle
-      differential), not to produce results.
+      disco-check's walk ≡ oracle differential checks the data plane
+      against them.
+
+    The scheme modules' closed-form routes also produce figures, so
+    deleting an oracle means moving these to walks first:
+    - [Metrics.stretch] builds fig3, fig4, fig5 and fig9 from
+      [Disco.route_first]/[route_later], [Nddisco.route_first]/[route_later],
+      [S4.route_first]/[route_later] and [Vrr.route];
+    - [Metrics.mean_stretch_by_heuristic] builds fig6 from
+      [Disco.route_later];
+    - the [header] figure's heuristic table sizes [Disco.route_first]
+      routes, and the [vicinity], [nerror] and [policy] figures measure
+      them too.
 
     Adding a scheme is a one-registration change:
     + implement [ROUTER] (usually a thin adapter over an existing module),

@@ -1,3 +1,5 @@
+module Json = Disco_util.Json
+
 type entry = {
   figure : string;
   router : string;
@@ -27,56 +29,31 @@ let current_figure () = !current
 let record e = entries := e :: !entries
 let all () = List.rev !entries
 
-(* JSON by hand: the repo deliberately has no JSON dependency, and the
-   values are all numbers plus two identifier-like strings. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let float_field f =
-  (* NaN marks "no samples" (e.g. a state-only record); JSON has no NaN. *)
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-let entry_to_json ~timings e =
-  String.concat ","
+let entry_to_json e =
+  Json.Obj
     [
-      Printf.sprintf {|"figure":"%s"|} (escape e.figure);
-      Printf.sprintf {|"router":"%s"|} (escape e.router);
-      Printf.sprintf {|"samples":%d|} e.samples;
-      Printf.sprintf {|"stretch_first_mean":%s|} (float_field e.stretch_first_mean);
-      Printf.sprintf {|"stretch_first_max":%s|} (float_field e.stretch_first_max);
-      Printf.sprintf {|"stretch_later_mean":%s|} (float_field e.stretch_later_mean);
-      Printf.sprintf {|"stretch_later_max":%s|} (float_field e.stretch_later_max);
-      Printf.sprintf {|"state_mean":%s|} (float_field e.state_mean);
-      Printf.sprintf {|"state_max":%s|} (float_field e.state_max);
-      Printf.sprintf {|"failures":%d|} e.failures;
-      Printf.sprintf {|"route_calls":%d|} e.route_calls;
-      Printf.sprintf {|"resolution_fallbacks":%d|} e.resolution_fallbacks;
-      Printf.sprintf {|"messages":%d|} e.messages;
-      Printf.sprintf {|"elapsed_s":%s|}
-        (if timings then float_field e.elapsed_s else "null");
+      ("figure", Json.Str e.figure);
+      ("router", Json.Str e.router);
+      ("samples", Json.Int e.samples);
+      ("stretch_first_mean", Json.Num e.stretch_first_mean);
+      ("stretch_first_max", Json.Num e.stretch_first_max);
+      ("stretch_later_mean", Json.Num e.stretch_later_mean);
+      ("stretch_later_max", Json.Num e.stretch_later_max);
+      ("state_mean", Json.Num e.state_mean);
+      ("state_max", Json.Num e.state_max);
+      ("failures", Json.Int e.failures);
+      ("route_calls", Json.Int e.route_calls);
+      ("resolution_fallbacks", Json.Int e.resolution_fallbacks);
+      ("messages", Json.Int e.messages);
+      ("elapsed_s", Json.Num e.elapsed_s);
     ]
 
-let to_json ?(timings = true) () =
-  let rows =
-    List.map (fun e -> "  {" ^ entry_to_json ~timings e ^ "}") (all ())
-  in
-  "[\n" ^ String.concat ",\n" rows ^ "\n]\n"
+let to_json () = Json.to_string (Json.Arr (List.map entry_to_json (all ())))
 
 let write_json path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ()))
+    (fun () ->
+      output_string oc (to_json ());
+      output_char oc '\n')

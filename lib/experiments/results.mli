@@ -29,10 +29,8 @@ val current_figure : unit -> string
 val record : entry -> unit
 val all : unit -> entry list
 
-val to_json : ?timings:bool -> unit -> string
-(** The whole store as a JSON array of flat objects. [timings] (default
-    true) controls the [elapsed_s] field; pass [false] to null it out so
-    two runs can be compared byte-for-byte (wall-clock is the one field
-    that legitimately differs across [jobs] values). *)
+val to_json : unit -> string
+(** The whole store as a JSON array of flat objects, one per line.  A NaN
+    field prints as [null]. *)
 
 val write_json : string -> unit

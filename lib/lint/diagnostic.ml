@@ -2,6 +2,8 @@
    This module is pure formatting: all printing happens in bin/disco_lint.ml
    so the library itself obeys rule L4 (no stray output from libraries). *)
 
+module Json = Disco_util.Json
+
 type severity = Error | Warning
 
 type t = {
@@ -30,24 +32,14 @@ let to_human d =
   Printf.sprintf "%s:%d:%d: %s [%s] %s\n  hint: %s" d.file d.line d.col
     (severity_label d.severity) d.rule d.message d.hint
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","severity":"%s","message":"%s","hint":"%s"}|}
-    (json_escape d.file) d.line d.col (json_escape d.rule)
-    (severity_label d.severity) (json_escape d.message) (json_escape d.hint)
+  Json.Obj
+    [
+      ("file", Json.Str d.file);
+      ("line", Json.Int d.line);
+      ("col", Json.Int d.col);
+      ("rule", Json.Str d.rule);
+      ("severity", Json.Str (severity_label d.severity));
+      ("message", Json.Str d.message);
+      ("hint", Json.Str d.hint);
+    ]

@@ -1,6 +1,8 @@
 (* Parse and lint .ml files. Everything here returns data; the bin/ driver
    owns all printing (rule L4 applies to this library too). *)
 
+module Json = Disco_util.Json
+
 type summary = {
   files : int;
   errors : int;
@@ -120,6 +122,11 @@ let lint_files ?severity_overrides paths =
   summarize ~files:(List.length paths) diagnostics
 
 let summary_to_json s =
-  Printf.sprintf {|{"files":%d,"errors":%d,"warnings":%d,"diagnostics":[%s]}|}
-    s.files s.errors s.warnings
-    (String.concat "," (List.map Diagnostic.to_json s.diagnostics))
+  Json.to_string
+    (Json.Obj
+       [
+         ("files", Json.Int s.files);
+         ("errors", Json.Int s.errors);
+         ("warnings", Json.Int s.warnings);
+         ("diagnostics", Json.Arr (List.map Diagnostic.to_json s.diagnostics));
+       ])

@@ -73,8 +73,6 @@ let task_apis =
     "Disco_experiments.Engine.run";
     "Disco_experiments.Engine.map_groups";
     "Disco_experiments.Engine.map_pairs";
-    "Disco_experiments.Engine.iter_groups";
-    "Disco_experiments.Engine.iter_pairs";
     "Disco_experiments.Engine.sample_pairs";
   ]
 

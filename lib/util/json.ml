@@ -1,16 +1,77 @@
-(* Minimal recursive-descent JSON reader.  The bench gates (alloc baseline,
-   scaling checkpoints) read back files this repo writes, but a structural
-   parser keeps them robust to member reordering and reformatting — the
-   string-offset scanner this replaces silently mis-parsed rows whose keys
-   were not in the exact order [json_of_rows] emitted them. *)
+(* The one JSON writer and reader behind every artefact the repo emits:
+   bench figures, BENCH_*.json snapshots, disco-check reports and
+   disco-lint summaries.  [to_string] prints one fixed layout; [parse] is
+   a structural recursive-descent reader, so the gates that read files
+   back (alloc baseline, scaling checkpoints) stay correct when members
+   are reordered or reformatted. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+(* --- writer ----------------------------------------------------------- *)
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b {|\"|}
+      | '\\' -> Buffer.add_string b {|\\|}
+      | '\n' -> Buffer.add_string b {|\n|}
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(* The shortest of %.15g/%.16g/%.17g that reads back as [f] (%.17g always
+   does).  An integral rendering gains ".0" so it parses back as [Num]. *)
+let float_repr f =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits f in
+    if digits >= 17 || Float.equal (float_of_string s) f then s else go (digits + 1)
+  in
+  let s = go 15 in
+  if String.exists (function '.' | 'e' -> true | _ -> false) s then s else s ^ ".0"
+
+let rec write b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Num f -> Buffer.add_string b (if Float.is_finite f then float_repr f else "null")
+  | Str s -> add_quoted b s
+  | Arr [] -> Buffer.add_string b "[]"
+  | Arr vs ->
+      (* One element per line: a BENCH file stays one row per line. *)
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          Buffer.add_string b (if i = 0 then "\n" else ",\n");
+          write b v)
+        vs;
+      Buffer.add_string b "\n]"
+  | Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          add_quoted b k;
+          Buffer.add_char b ':';
+          write b v)
+        fields;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  write b v;
+  Buffer.contents b
+
+(* --- reader ----------------------------------------------------------- *)
 
 exception Fail of string
 
@@ -92,20 +153,30 @@ let parse_string s pos =
   go ();
   Buffer.contents b
 
+(* A literal with no '.' or exponent is an [Int]; one beyond the int
+   range falls back to [Num]. *)
 let parse_number s pos =
   let start = !pos in
   let n = String.length s in
+  let integral = ref true in
   while
     !pos < n
     && match s.[!pos] with
-       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+       | '0' .. '9' | '-' | '+' -> true
+       | '.' | 'e' | 'E' ->
+           integral := false;
+           true
        | _ -> false
   do
     incr pos
   done;
-  match float_of_string_opt (String.sub s start (!pos - start)) with
-  | Some f -> f
-  | None -> fail start "bad number"
+  let lit = String.sub s start (!pos - start) in
+  match (if !integral then int_of_string_opt lit else None) with
+  | Some i -> Int i
+  | None -> (
+      match float_of_string_opt lit with
+      | Some f -> Num f
+      | None -> fail start "bad number")
 
 let rec parse_value s pos =
   skip_ws s pos;
@@ -118,7 +189,7 @@ let rec parse_value s pos =
     | 't' -> parse_literal s pos "true" (Bool true)
     | 'f' -> parse_literal s pos "false" (Bool false)
     | 'n' -> parse_literal s pos "null" Null
-    | '-' | '0' .. '9' -> Num (parse_number s pos)
+    | '-' | '0' .. '9' -> parse_number s pos
     | c -> fail !pos (Printf.sprintf "unexpected %C" c)
 
 and parse_obj s pos =
@@ -192,17 +263,12 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
-let to_string = function Str s -> Some s | _ -> None
-let to_list = function Arr l -> Some l | _ -> None
-
-let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+let float_member key v =
+  match member key v with
+  | Some (Num f) -> Some f
+  | Some (Int i) -> Some (float_of_int i)
   | _ -> None
 
-let float_member key v = Option.bind (member key v) to_float
-let int_member key v = Option.bind (member key v) to_int
-let string_member key v = Option.bind (member key v) to_string
-
-let list_member key v =
-  match Option.bind (member key v) to_list with Some l -> l | None -> []
+let int_member key v = match member key v with Some (Int i) -> Some i | _ -> None
+let string_member key v = match member key v with Some (Str s) -> Some s | _ -> None
+let list_member key v = match member key v with Some (Arr l) -> l | _ -> []

@@ -3,6 +3,13 @@ module Gen = Disco_graph.Gen
 module Dijkstra = Disco_graph.Dijkstra
 module Address = Disco_core.Address
 module Landmarks = Disco_core.Landmarks
+module Disco = Disco_core.Disco
+
+(* [make] then [decode]: the node path the packed labels replay. *)
+let decoded g route =
+  let addr = Address.make g ~route in
+  Address.decode g ~landmark:(List.hd route) ~labels:addr.Address.labels
+    ~hops:(Address.hops addr)
 
 let test_make_and_fields () =
   let g = Gen.ring ~n:6 in
@@ -60,6 +67,19 @@ let prop_roundtrip_random =
         = route
       end)
 
+(* Disco's first- and later-packet routes on random geometric graphs
+   survive the label codec. *)
+let prop_roundtrip_disco_routes =
+  Helpers.qtest "route labels round-trip through the bit codec" ~count:30
+    Helpers.seed_arb (fun seed ->
+      let g = Helpers.random_weighted_graph seed in
+      let d = Disco.build ~rng:(Disco_util.Rng.create seed) g in
+      let n = Graph.n g in
+      let src = seed mod n and dst = ((seed * 7) + 1) mod n in
+      let first = Disco.route_first d ~src ~dst
+      and later = Disco.route_later d ~src ~dst in
+      decoded g first = first && decoded g later = later)
+
 let prop_size_bound =
   Helpers.qtest "bits <= sum of ceil(log2 degree)" ~count:30 Helpers.seed_arb
     (fun seed ->
@@ -103,6 +123,7 @@ let suite =
     Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
     Alcotest.test_case "decode roundtrip ring" `Quick test_decode_roundtrip_ring;
     prop_roundtrip_random;
+    prop_roundtrip_disco_routes;
     prop_size_bound;
     Alcotest.test_case "ring worst case" `Quick test_ring_worst_case;
   ]

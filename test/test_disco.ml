@@ -37,7 +37,6 @@ let () =
       ("dataplane-differential", Test_dataplane_differential.suite);
       ("header", Test_header.suite);
       ("wire-codec", Test_wire_codec.suite);
-      ("throughput", Test_throughput.suite);
       ("s4", Test_s4.suite);
       ("vrr", Test_vrr.suite);
       ("tz-hierarchy", Test_tz_hierarchy.suite);

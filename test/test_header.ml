@@ -57,24 +57,27 @@ let test_later_packet_no_ids () =
   Alcotest.(check int) "ipv6-sized name" 16 c.Header.name_bytes
 
 let test_label_bytes_match_route () =
-  (* The label encoding in the header equals Address-style packing of the
-     actual route. *)
+  (* The header's label bytes are the packed Address of the actual
+     route. *)
   let g, d = build 11 in
   let route = Core.Disco.route_later d ~src:2 ~dst:8 in
   let addr = Core.Address.make g ~route in
   let c = Header.later_packet d ~name_bytes:20 ~src:2 ~dst:8 in
   Alcotest.(check int) "label bytes" (Core.Address.route_byte_size addr) c.Header.label_bytes
 
-(* --- encode_labels / decode_labels round-trips --- *)
+(* --- the explicit-route labels a header carries ---
+
+   The header's label field is the packed Address of the route, so these
+   drive Address.make / Address.decode on hand-built paths. *)
 
 let roundtrip g path =
   match path with
   | [] -> ()
   | src :: _ ->
-      let labels, bits = Header.encode_labels g path in
-      let hops = List.length path - 1 in
+      let addr = Core.Address.make g ~route:path in
       Alcotest.(check (list int)) "decode inverts encode" path
-        (Header.decode_labels g ~src ~hops labels);
+        (Core.Address.decode g ~landmark:src ~labels:addr.Core.Address.labels
+           ~hops:(Core.Address.hops addr));
       let expected_bits =
         (* One label per hop, sized by the forwarding node's degree. *)
         let rec widths = function
@@ -84,7 +87,8 @@ let roundtrip g path =
         in
         widths path
       in
-      Alcotest.(check int) "bit length is sum of hop widths" expected_bits bits
+      Alcotest.(check int) "bit length is sum of hop widths" expected_bits
+        addr.Core.Address.label_bits
 
 let test_labels_roundtrip_boundary_widths () =
   (* A path graph: interior degree 2 (1-bit labels), endpoints degree 1
@@ -115,17 +119,17 @@ let test_labels_roundtrip_boundary_widths () =
     Graph.Builder.add_edge hub 0 leaf 1.0
   done;
   let g = Graph.Builder.build hub in
-  let labels, bits = Header.encode_labels g [ 17; 0; 1 ] in
-  Alcotest.(check int) "0 + 5 bits" 5 bits;
+  let addr = Core.Address.make g ~route:[ 17; 0; 1 ] in
+  Alcotest.(check int) "0 + 5 bits" 5 addr.Core.Address.label_bits;
   Alcotest.(check (list int)) "roundtrip" [ 17; 0; 1 ]
-    (Header.decode_labels g ~src:17 ~hops:2 labels)
+    (Core.Address.decode g ~landmark:17 ~labels:addr.Core.Address.labels ~hops:2)
 
 let test_labels_single_node_path () =
   let g, _ = build 13 in
-  let labels, bits = Header.encode_labels g [ 0 ] in
-  Alcotest.(check int) "no hops, no bits" 0 bits;
+  let addr = Core.Address.make g ~route:[ 0 ] in
+  Alcotest.(check int) "no hops, no bits" 0 addr.Core.Address.label_bits;
   Alcotest.(check (list int)) "decodes to itself" [ 0 ]
-    (Header.decode_labels g ~src:0 ~hops:0 labels)
+    (Core.Address.decode g ~landmark:0 ~labels:addr.Core.Address.labels ~hops:0)
 
 let test_labels_reject_non_path () =
   let g = Helpers.random_weighted_graph 21 in
@@ -144,25 +148,8 @@ let test_labels_reject_non_path () =
   | None -> () (* complete graph; nothing to reject *)
   | Some (u, v) ->
       Alcotest.check_raises "non-path rejected"
-        (Invalid_argument "Header: route is not a path")
-        (fun () -> ignore (Header.encode_labels g [ u; v ]))
-
-let prop_labels_roundtrip_on_routes =
-  Helpers.qtest "route labels round-trip through the bit codec" ~count:30
-    Helpers.seed_arb (fun seed ->
-      let g, d = build seed in
-      let n = Graph.n g in
-      let src = seed mod n and dst = (seed * 7 + 1) mod n in
-      let check route =
-        match route with
-        | [] -> true
-        | first :: _ ->
-            let labels, _ = Header.encode_labels g route in
-            Header.decode_labels g ~src:first ~hops:(List.length route - 1) labels
-            = route
-      in
-      check (Core.Disco.route_first d ~src ~dst)
-      && check (Core.Disco.route_later d ~src ~dst))
+        (Invalid_argument "Address.make: route is not a path")
+        (fun () -> ignore (Core.Address.make g ~route:[ u; v ]))
 
 let suite =
   [
@@ -175,5 +162,4 @@ let suite =
       test_labels_roundtrip_boundary_widths;
     Alcotest.test_case "single-node path" `Quick test_labels_single_node_path;
     Alcotest.test_case "non-path rejected" `Quick test_labels_reject_non_path;
-    prop_labels_roundtrip_on_routes;
   ]
