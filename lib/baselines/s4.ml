@@ -52,7 +52,6 @@ let rec ball_idx (members : int array) x lo hi =
     else ball_idx members x lo (mid - 1)
 
 let ball_mem b x = ball_idx b.bm x 0 (Array.length b.bm - 1) >= 0
-let ball_bytes b = 8 * ((3 * Array.length b.bm) + 1)
 
 (* Ball of [target]: every node strictly closer to [target] than
    [target]'s landmark, packed as id-sorted members with parallel
@@ -171,13 +170,8 @@ let steer_arrival t (h : D.header) ~at:u =
   let dst = h.D.dst in
   let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
   if u = lm then
-    match Core.Landmark_trees.path_from t.trees ~lm dst with
-    | _ :: (next :: rest) ->
-        D.Rewrite
-          ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-            next,
-            D.Address_rewrite )
-    | _ -> D.Drop D.No_route
+    D.carry_along h (Core.Landmark_trees.path_from t.trees ~lm dst)
+      D.Address_rewrite
   else
     match Core.Landmark_trees.path_to t.trees u ~lm with
     | _ :: (next :: rest) ->
@@ -193,18 +187,9 @@ let forward t (h : D.header) ~at:u =
     let divert () =
       (* disco-lint: allow L7 L9 the local-cluster lookup builds the candidate route (S4 shortcutting); raises only on control-plane-impossible states *)
       match knows t u dst with
-      | Some (_ :: (_ :: _ as direct)) when direct <> h.D.labels -> (
-          match direct with
-          | next :: rest ->
-              (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-              Some
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                (D.Rewrite
-                   (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                   ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-                     next,
-                     D.Shortcut_divert ))
-          | [] -> None)
+      | Some (_ :: (_ :: _ as direct) as p) when direct <> h.D.labels ->
+          (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
+          Some (D.carry_along h p D.Shortcut_divert)
       | _ -> None
     in
     match h.D.phase with
@@ -213,9 +198,8 @@ let forward t (h : D.header) ~at:u =
         | Some d -> d
         | None -> (
             match h.D.labels with
-            | next :: rest ->
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
+            (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
+            | _ :: _ -> D.label_hop h
             | [] -> (
                 match h.D.phase with
                 (* disco-lint: allow L7 L9 the resolver writes the onward route (one allocation at the steering waypoint); raises only on control-plane-impossible states *)
@@ -225,11 +209,6 @@ let forward t (h : D.header) ~at:u =
         (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
         D.Drop (D.Protocol_error "s4: foreign header phase")
   end
-
-let carry_header ~dst path =
-  match path with
-  | _ :: rest -> { (D.plain ~dst D.Carry) with D.labels = rest }
-  | [] -> D.plain ~dst D.Carry
 
 let steer_header ~dst ~waypoint path =
   match path with
@@ -244,14 +223,14 @@ let steer_header ~dst ~waypoint path =
 let later_header t ~src ~dst =
   if src = dst then D.plain ~dst D.Carry
   else if t.landmarks.Core.Landmarks.is_landmark.(dst) then
-    carry_header ~dst (Core.Landmark_trees.path_to t.trees src ~lm:dst)
+    D.carry_header ~dst (Core.Landmark_trees.path_to t.trees src ~lm:dst)
   else begin
     match cluster_path t ~node:src ~target:dst with
-    | Some p -> carry_header ~dst p
+    | Some p -> D.carry_header ~dst p
     | None ->
         let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
         if lm = src then
-          carry_header ~dst (Core.Landmark_trees.path_from t.trees ~lm dst)
+          D.carry_header ~dst (Core.Landmark_trees.path_from t.trees ~lm dst)
         else
           steer_header ~dst ~waypoint:lm
             (Core.Landmark_trees.path_to t.trees src ~lm)
@@ -302,18 +281,14 @@ let compile t =
     fg = t.graph;
     fis_lm = t.landmarks.Core.Landmarks.is_landmark;
     fnearest = t.landmarks.Core.Landmarks.nearest;
-    flm = Array.make n [||];
+    flm = Core.Landmark_trees.rows t.trees;
     fball = Array.make n empty_ball;
   }
 
-let fast_prime_tree f lm =
-  if Array.length f.flm.(lm) = 0 then
-    f.flm.(lm) <- Core.Landmark_trees.parents f.fs4.trees ~lm
-
 let fast_prime f ~src:_ ~dst =
-  if f.fis_lm.(dst) then fast_prime_tree f dst
+  if f.fis_lm.(dst) then Core.Landmark_trees.prime f.fs4.trees f.flm dst
   else begin
-    fast_prime_tree f f.fnearest.(dst);
+    Core.Landmark_trees.prime f.fs4.trees f.flm f.fnearest.(dst);
     if Array.length f.fball.(dst).bm = 0 then
       (* every ball contains its target, so a primed slot is never empty *)
       f.fball.(dst) <- ball f.fs4 dst
@@ -352,12 +327,7 @@ let fast_arrival f (pkt : D.packet) u dst m =
     let parents = f.flm.(lm) in
     if Array.length parents = 0 then D.fast_protocol
     else if u = lm then begin
-      let cnt = D.route_fill_down pkt parents lm dst in
-      if cnt >= 1 then begin
-        pkt.D.pmode <- D.mode_carry;
-        pkt.D.pway <- -1;
-        D.route_next pkt
-      end
+      if D.route_fill_down pkt parents lm dst >= 1 then D.fast_carry pkt
       else D.fast_protocol (* unreachable: the typed path raises *)
     end
     else if D.route_chain_ok parents u lm then begin
@@ -384,9 +354,7 @@ let fast_step f (pkt : D.packet) u =
       if Array.length parents = 0 then D.fast_protocol
       else if D.route_chain_ok parents u dst then begin
         let _cnt = D.route_fill_up pkt parents u dst in
-        pkt.D.pmode <- D.mode_carry;
-        pkt.D.pway <- -1;
-        D.route_next pkt
+        D.fast_carry pkt
       end
       else D.fast_protocol (* unreachable: typed [knows] raises *)
     end
@@ -399,9 +367,7 @@ let fast_step f (pkt : D.packet) u =
         && fast_ball_check members parents u dst
       then begin
         let _cnt = fast_ball_fill pkt members parents u 0 dst in
-        pkt.D.pmode <- D.mode_carry;
-        pkt.D.pway <- -1;
-        D.route_next pkt
+        D.fast_carry pkt
       end
       else fast_arrival f pkt u dst m
     end

@@ -38,9 +38,6 @@ val ball : t -> int -> ball
 (** Ball of a target (one truncated Dijkstra, memoised). Always contains
     the target itself. *)
 
-val ball_bytes : ball -> int
-(** Exact bytes of the packed ball slabs. *)
-
 val in_cluster : t -> node:int -> target:int -> bool
 (** Is [target] in [node]'s cluster, i.e. [d(node,target) < radius target]?
     Computed from the target's ball (one truncated Dijkstra, cached). *)

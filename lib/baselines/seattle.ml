@@ -1,5 +1,5 @@
 module Graph = Disco_graph.Graph
-module Dijkstra = Disco_graph.Dijkstra
+module Landmark_trees = Disco_core.Landmark_trees
 module Consistent_hash = Disco_hash.Consistent_hash
 module Packed = Disco_core.Packed
 
@@ -11,7 +11,7 @@ type t = {
   directory : Packed.Csr.t;
       (* the resolver map inverted: row v = the destinations whose
          directory entry v stores, sorted ascending *)
-  trees : (int, Dijkstra.sssp) Disco_util.Pool.Memo.t;
+  trees : Landmark_trees.t; (* link-state trees, one per router *)
 }
 
 (* Invert [resolver] into a CSR by counting sort: row v lists v's
@@ -48,20 +48,10 @@ let build graph ~names =
     ring;
     resolver;
     directory = invert_resolver n resolver;
-    trees = Disco_util.Pool.Memo.create ();
+    trees = Landmark_trees.create graph;
   }
 
-(* Lazy per-root SSSP, shared across query handles; the memo makes the
-   fill safe from pool tasks, and each fill uses its own workspace
-   ([Dijkstra.sssp] returns fresh arrays, so cached trees are
-   workspace-independent). *)
-let tree t root =
-  Disco_util.Pool.Memo.find_or_add t.trees root (fun () ->
-      Dijkstra.sssp ~ws:(Dijkstra.make_workspace t.graph) t.graph root)
-
-let shortest t ~src ~dst =
-  let s = tree t src in
-  Dijkstra.path_of_parents ~parent:(fun u -> s.Dijkstra.parent.(u)) ~src ~dst
+let shortest t ~src ~dst = Landmark_trees.path_from t.trees ~lm:src dst
 
 let resolver_of t dst = t.resolver.(dst)
 
@@ -98,25 +88,15 @@ let forward t (h : D.header) ~at:u =
   (* disco-lint: allow L7 the scrutinee pairs phase and labels: per-decision by design *)
   match (h.D.phase, h.D.labels) with
   | D.Carry, _ when u = h.D.dst -> D.Deliver
-  | (D.Carry | D.Steer _), next :: rest ->
-      (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-      D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-  | D.Carry, [] -> D.Drop D.No_route
-  | D.Steer _, [] -> (
-        (* At the resolver: its directory share holds the destination. *)
-        (* disco-lint: allow L7 L9 the resolver writes the onward route from its table (one allocation at the waypoint); raises only on control-plane-impossible states *)
-        match shortest t ~src:u ~dst:h.D.dst with
-        | _ :: (next :: rest) ->
-            (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-            D.Rewrite
-              (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-              ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-                next,
-                D.Address_rewrite )
-        | _ -> D.Drop D.No_route)
-    | (D.Seek _ | D.Greedy | D.Fallback), _ ->
-        (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-        D.Drop (D.Protocol_error "seattle: foreign header phase")
+  (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
+  | D.Carry, _ | D.Steer _, _ :: _ -> D.label_hop h
+  | D.Steer _, [] ->
+      (* At the resolver: its directory share holds the destination. *)
+      (* disco-lint: allow L7 L9 the resolver writes the onward route from its table (one allocation at the waypoint); raises only on control-plane-impossible states *)
+      D.carry_along h (shortest t ~src:u ~dst:h.D.dst) D.Address_rewrite
+  | (D.Seek _ | D.Greedy | D.Fallback), _ ->
+      (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
+      D.Drop (D.Protocol_error "seattle: foreign header phase")
 
 (* --- compiled fast path ---------------------------------------------------
 
@@ -131,48 +111,32 @@ type fast = {
   ftrees : int array array; (* SSSP parent array per root; [||] = unprimed *)
 }
 
-let compile t = { fsea = t; ftrees = Array.make (Graph.n t.graph) [||] }
-
-let fast_prime_root f root =
-  if Array.length f.ftrees.(root) = 0 then
-    f.ftrees.(root) <- (tree f.fsea root).Dijkstra.parent
+let compile t = { fsea = t; ftrees = Landmark_trees.rows t.trees }
 
 (* Force the trees the flow's decisions read: the source's (header
    encode) and the resolver's (the steer-leg rewrite). *)
 let fast_prime f ~src ~dst =
-  fast_prime_root f src;
-  fast_prime_root f f.fsea.resolver.(dst)
+  Landmark_trees.prime f.fsea.trees f.ftrees src;
+  Landmark_trees.prime f.fsea.trees f.ftrees f.fsea.resolver.(dst)
 
 let fast_step f (pkt : D.packet) u =
   let m = pkt.D.pmode in
   if m = D.mode_carry then
-    if u = pkt.D.pdst then D.fast_deliver
-    else if D.route_len pkt > 0 then D.route_next pkt
-    else D.fast_no_route
+    if u = pkt.D.pdst then D.fast_deliver else D.fast_label_hop pkt
   else if m = D.mode_steer || m = D.mode_steer_tried then
     if D.route_len pkt > 0 then D.route_next pkt
     else
       (* At the resolver: write the onward route from its own tree. *)
       let parents = f.ftrees.(u) in
       if Array.length parents = 0 then D.fast_protocol
-      else
-        let cnt = D.route_fill_down pkt parents u pkt.D.pdst in
-        if cnt >= 1 then begin
-          pkt.D.pmode <- D.mode_carry;
-          pkt.D.pway <- -1;
-          D.route_next pkt
-        end
-        else D.fast_no_route
+      else if D.route_fill_down pkt parents u pkt.D.pdst >= 1 then
+        D.fast_carry pkt
+      else D.fast_no_route
   else D.fast_protocol
-
-let carry_header ~dst path =
-  match path with
-  | _ :: rest -> { (D.plain ~dst D.Carry) with D.labels = rest }
-  | [] -> D.plain ~dst D.Carry
 
 let later_header t ~src ~dst =
   if src = dst then D.plain ~dst D.Carry
-  else carry_header ~dst (shortest t ~src ~dst)
+  else D.carry_header ~dst (shortest t ~src ~dst)
 
 let first_header t ~src ~dst =
   if src = dst then D.plain ~dst D.Carry

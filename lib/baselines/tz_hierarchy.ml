@@ -3,6 +3,7 @@ module Dijkstra = Disco_graph.Dijkstra
 module Heap = Disco_util.Heap
 module Rng = Disco_util.Rng
 module Packed = Disco_core.Packed
+module Landmark_trees = Disco_core.Landmark_trees
 
 type t = {
   graph : Graph.t;
@@ -12,8 +13,7 @@ type t = {
   pivot_dist : float array array; (* d(v, A_i) *)
   bunch : Packed.Csr.t; (* per node: sorted bunch member ids *)
   bunch_d : Packed.Fslab.t; (* parallel to [bunch.data]: d(v, w) *)
-  trees : (int, Dijkstra.sssp) Disco_util.Pool.Memo.t;
-      (* lazy per-pivot SSSP shared by route and forward *)
+  trees : Landmark_trees.t; (* per-pivot SSSP shared by route and forward *)
 }
 
 let k t = t.k
@@ -120,7 +120,7 @@ let build ~rng ~k graph =
     done
   done;
   { graph; k; level; pivot; pivot_dist; bunch; bunch_d;
-    trees = Disco_util.Pool.Memo.create () }
+    trees = Landmark_trees.create graph }
 
 let state t v = Packed.Csr.row_len t.bunch v + t.k
 
@@ -178,34 +178,22 @@ let routing_pivot t ~src ~dst =
   in
   climb 0 src dst src
 
-(* Lazy per-pivot SSSP: the memo makes fills safe from pool tasks, and
-   each fill uses its own workspace (the returned arrays are fresh, so
-   cached trees are workspace-independent). *)
-let tree t w =
-  Disco_util.Pool.Memo.find_or_add t.trees w (fun () ->
-      Dijkstra.sssp ~ws:(Dijkstra.make_workspace t.graph) t.graph w)
-
 let route t ~src ~dst =
   if src = dst then Some [ src ]
   else
     match routing_pivot t ~src ~dst with
     | None -> None
     | Some w ->
-        (* Both legs of [src ~> w ~> dst] are shortest paths, so one run
+        (* Both legs of [src ~> w ~> dst] are shortest paths, so one tree
            rooted at the pivot reconstructs the whole route. *)
-        let sp = tree t w in
-        if sp.Dijkstra.dist.(src) = infinity || sp.Dijkstra.dist.(dst) = infinity
+        if
+          Landmark_trees.dist t.trees ~lm:w src = infinity
+          || Landmark_trees.dist t.trees ~lm:w dst = infinity
         then None
-        else begin
-          let from_pivot z =
-            Dijkstra.path_of_parents
-              ~parent:(fun u -> sp.Dijkstra.parent.(u))
-              ~src:w ~dst:z
-          in
-          match from_pivot dst with
-          | [] -> None
-          | _ :: tail -> Some (List.rev (from_pivot src) @ tail)
-        end
+        else
+          Some
+            (Landmark_trees.path_to t.trees src ~lm:w
+            @ List.tl (Landmark_trees.path_from t.trees ~lm:w dst))
 
 module D = Disco_core.Dataplane
 
@@ -227,39 +215,28 @@ let forward t (h : D.header) ~at:u =
         if w < 0 then D.Drop D.No_route (* no common pivot: disconnected *)
         else begin
           (* disco-lint: allow L7 L9 lazy pivot-tree lookup (memoized per pivot, amortized over packets); raises only on control-plane-impossible states *)
-          let sp = tree t w in
+          let parents = Landmark_trees.parents t.trees ~lm:w in
           if u = w then begin
             if u = dst then D.Deliver
             else
-            match
-              (* disco-lint: allow L7 L9 the pivot writes the onward route (one allocation at the waypoint); raises only on control-plane-impossible states *)
-              Dijkstra.path_of_parents
-                (* disco-lint: allow L7 parent-accessor closure for the one-time route write at the pivot *)
-                ~parent:(fun x -> sp.Dijkstra.parent.(x))
-                ~src:w ~dst
-            with
-            | _ :: (next :: rest) ->
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                D.Rewrite
-                  (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                  ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-                    next,
-                    D.Address_rewrite )
-            | _ -> D.Drop D.No_route
+              (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
+              D.carry_along h
+                (* disco-lint: allow L7 L9 the pivot writes the onward route (one allocation at the waypoint); raises only on control-plane-impossible states *)
+                (Dijkstra.path_of_parents
+                   (* disco-lint: allow L7 parent-accessor closure for the one-time route write at the pivot *)
+                   ~parent:(fun x -> parents.(x))
+                   ~src:w ~dst)
+                D.Address_rewrite
           end
           else begin
-            match sp.Dijkstra.parent.(u) with
+            match parents.(u) with
             | -1 -> D.Drop D.No_route
             | p -> D.Forward p
           end
         end
     | D.Carry when u = dst -> D.Deliver
-    | D.Carry -> (
-        match h.D.labels with
-        | next :: rest ->
-            (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-            D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-        | [] -> D.Drop D.No_route)
+    (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
+    | D.Carry -> D.label_hop h
     | D.Seek _ | D.Greedy | D.Fallback ->
         (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
         D.Drop (D.Protocol_error "tz: foreign header phase")
@@ -284,15 +261,11 @@ type fast = {
   ftrees : int array array; (* SSSP parent array per pivot; [||] = unprimed *)
 }
 
-let compile t = { ftz = t; ftrees = Array.make (Graph.n t.graph) [||] }
-
-let fast_prime_root f w =
-  if Array.length f.ftrees.(w) = 0 then
-    f.ftrees.(w) <- (tree f.ftz w).Dijkstra.parent
+let compile t = { ftz = t; ftrees = Landmark_trees.rows t.trees }
 
 let fast_prime f ~src ~dst =
   match routing_pivot f.ftz ~src ~dst with
-  | Some w -> fast_prime_root f w
+  | Some w -> Landmark_trees.prime f.ftz.trees f.ftrees w
   | None -> ()
 
 let fast_step f (pkt : D.packet) u =
@@ -305,20 +278,13 @@ let fast_step f (pkt : D.packet) u =
       if Array.length parents = 0 then D.fast_protocol
       else if u = w then
         if u = pkt.D.pdst then D.fast_deliver
-        else
-          let cnt = D.route_fill_down pkt parents w pkt.D.pdst in
-          if cnt >= 1 then begin
-            pkt.D.pmode <- D.mode_carry;
-            pkt.D.pway <- -1;
-            D.route_next pkt
-          end
-          else D.fast_no_route
+        else if D.route_fill_down pkt parents w pkt.D.pdst >= 1 then
+          D.fast_carry pkt
+        else D.fast_no_route
       else
         let p = parents.(u) in
         if p < 0 then D.fast_no_route else p
   end
   else if m = D.mode_carry then
-    if u = pkt.D.pdst then D.fast_deliver
-    else if D.route_len pkt > 0 then D.route_next pkt
-    else D.fast_no_route
+    if u = pkt.D.pdst then D.fast_deliver else D.fast_label_hop pkt
   else D.fast_protocol

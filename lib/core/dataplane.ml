@@ -81,6 +81,29 @@ type decision =
   | Deliver
   | Drop of reason
 
+(* --- the label leg -----------------------------------------------------
+
+   Every scheme rides explicit routes the same way: a Carry header whose
+   labels are the route after the current node, one label consumed per
+   hop.  The fast twins ([fast_carry], [fast_label_hop]) follow the
+   route-window helpers below. *)
+
+let carry_header ~dst path =
+  match path with
+  | _ :: rest -> { (plain ~dst Carry) with labels = rest }
+  | [] -> plain ~dst Carry
+
+let carry_along h path why =
+  match path with
+  | _ :: next :: rest ->
+      Rewrite ({ h with phase = Carry; labels = rest; waypoint = -1 }, next, why)
+  | _ -> Drop No_route
+
+let label_hop h =
+  match h.labels with
+  | next :: rest -> Rewrite ({ h with labels = rest }, next, Label_hop)
+  | [] -> Drop No_route
+
 type step = { at : int; action : action }
 
 type trace = {
@@ -377,6 +400,16 @@ let route_next pkt =
   let v = pkt.proute.(pkt.proute_pos) in
   pkt.proute_pos <- pkt.proute_pos + 1;
   v
+
+(* The label leg's fast twins: [fast_carry] is {!carry_along} over a route
+   window the caller has just filled, [fast_label_hop] is {!label_hop}. *)
+let fast_carry pkt =
+  pkt.pmode <- mode_carry;
+  pkt.pway <- -1;
+  route_next pkt
+
+let fast_label_hop pkt =
+  if route_len pkt > 0 then route_next pkt else fast_no_route
 
 (* Ascent fill: the labels of tree path [u ~> root] where [parents] points
    rootward ([parents.(x)] is x's next hop toward [root]).  Writes

@@ -90,6 +90,26 @@ type decision =
   | Deliver
   | Drop of reason
 
+(** {2 The label leg}
+
+    Every scheme delivers along explicit routes the same way (§4.2's
+    forwarding labels): a {!Carry} header whose labels are the route after
+    the current node, one label consumed per hop.  Schemes build their
+    label legs from these three and keep only their own [action]. *)
+
+val carry_header : dst:int -> int list -> header
+(** [carry_header ~dst path]: a {!Carry} header riding [path] (source
+    first), i.e. labels [List.tl path]; no labels for [[]] or [[src]]. *)
+
+val carry_along : header -> int list -> action -> decision
+(** [carry_along h path why]: switch [h] to {!Carry} along [path] (current
+    node first), clear the waypoint and send it to [path]'s second node,
+    logging [why]; [Drop No_route] when [path] has fewer than two nodes. *)
+
+val label_hop : header -> decision
+(** Consume the next label ([Label_hop]); [Drop No_route] when none is
+    left. *)
+
 type step = { at : int; action : action }
 
 type trace = {
@@ -199,6 +219,15 @@ val packet_create : Graph.t -> packet
 val route_len : packet -> int
 val route_next : packet -> int
 (** Consume and return the next route label (node id). *)
+
+val fast_carry : packet -> int
+(** {!carry_along}'s fast twin over a route window the caller has just
+    filled: switch to {!mode_carry}, clear the waypoint, and take the next
+    label. *)
+
+val fast_label_hop : packet -> int
+(** {!label_hop}'s fast twin: the next label, or {!fast_no_route} when
+    the window is empty. *)
 
 val route_fill_up : packet -> int array -> int -> int -> int
 (** [route_fill_up pkt parents u root]: load the labels of the tree path

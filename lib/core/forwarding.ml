@@ -28,17 +28,6 @@ let address_route (nd : Nddisco.t) u dst =
   if u = lm then label_path
   else Landmark_trees.path_to nd.Nddisco.trees u ~lm @ List.tl label_path
 
-(* Rewrite [h] into a Carry header following [path] (current node first);
-   the packet is put on the wire toward the path's second node. *)
-let carry_along h path why =
-  match path with
-  | _ :: (next :: rest) ->
-      D.Rewrite
-        ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-          next,
-          why )
-  | _ -> D.Drop D.No_route
-
 (* The Carry machine, shared by Disco, NDDisco and every label-routing leg:
    to-destination shortcutting at each hop (the first node holding a direct
    route diverts along it — its route is a shortest path, so the remaining
@@ -48,12 +37,8 @@ let carry_step (nd : Nddisco.t) (h : D.header) ~at:u =
   else
     match local_route nd u h.D.dst with
     | Some (_ :: (_ :: _ as direct)) when direct <> h.D.labels ->
-        carry_along h (u :: direct) D.Shortcut_divert
-    | _ -> (
-        match h.D.labels with
-        | next :: rest ->
-            D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-        | [] -> D.Drop D.No_route)
+        D.carry_along h (u :: direct) D.Shortcut_divert
+    | _ -> D.label_hop h
 
 (* Seek: the packet carries only the flat name; the node classifies it
    exactly as the control plane's [Disco.classify_first] would from this
@@ -66,10 +51,10 @@ let rec seek_step (d : Disco.t) (h : D.header) ~at:u ~tried_proxy =
   if u = dst then D.Deliver
   else
     match local_route nd u dst with
-    | Some (_ :: _ :: _ as p) -> carry_along h p D.Direct_route
+    | Some (_ :: _ :: _ as p) -> D.carry_along h p D.Direct_route
     | _ ->
         if Groups.same_group d.Disco.groups u dst then
-          carry_along h (address_route nd u dst) D.Group_store_hit
+          D.carry_along h (address_route nd u dst) D.Group_store_hit
         else if not tried_proxy then begin
           match Disco.classify_first d ~src:u ~dst with
           | Disco.Via_group_member w -> (
@@ -98,7 +83,7 @@ and resolution_step (d : Disco.t) (h : D.header) ~at:u =
   let dst = h.D.dst in
   let owner = Resolution.owner d.Disco.resolution nd.Nddisco.names.(dst) in
   if u = owner then
-    carry_along h (address_route nd u dst) (D.Resolution_via owner)
+    D.carry_along h (address_route nd u dst) (D.Resolution_via owner)
   else
     match Landmark_trees.path_to nd.Nddisco.trees u ~lm:owner with
     | _ :: (next :: rest) ->
@@ -122,10 +107,10 @@ let steer_step (d : Disco.t) (h : D.header) ~at:u ~tried_proxy =
   else
     match h.D.labels with
     | [] -> seek_step d { h with D.waypoint = -1 } ~at:u ~tried_proxy
-    | next :: rest -> (
+    | _ :: _ -> (
         match local_route nd u h.D.dst with
-        | Some (_ :: _ :: _ as p) -> carry_along h p D.Shortcut_divert
-        | _ -> D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop))
+        | Some (_ :: _ :: _ as p) -> D.carry_along h p D.Shortcut_divert
+        | _ -> D.label_hop h)
 
 (* The step functions allocate the rewritten header each hop: Rewrite
    carries a fresh immutable header by contract, so the L7 waivers below
@@ -147,46 +132,17 @@ let forward (d : Disco.t) (h : D.header) ~at =
 let first_header (_ : Disco.t) ~src:_ ~dst =
   D.plain ~dst (D.Seek { tried_proxy = false })
 
-let carry_header ~dst path =
-  match path with
-  | _ :: rest -> { (D.plain ~dst D.Carry) with D.labels = rest }
-  | [] -> D.plain ~dst D.Carry
-
 let later_header (d : Disco.t) ~src ~dst =
   if src = dst then D.plain ~dst D.Carry
   else
     (* The source now holds the address (and the handshake path when the
        destination sent one). *)
     match deliver_check d ~src ~dst with
-    | Some exact -> carry_header ~dst exact
+    | Some exact -> D.carry_header ~dst exact
     | None -> (
         match address_route d.Disco.nd src dst with
-        | _ :: _ as p -> carry_header ~dst p
+        | _ :: _ as p -> D.carry_header ~dst p
         | [] -> first_header d ~src ~dst)
-
-type trace = { walk : D.trace; handshake : int list option }
-
-let run_walk (d : Disco.t) ~src header =
-  let g = d.Disco.nd.Nddisco.graph in
-  let w =
-    D.walk ~ttl:(ttl_factor * Graph.n g) g ~forward:(forward d) ~src header
-  in
-  {
-    walk = w;
-    handshake =
-      (if w.D.delivered then deliver_check d ~src ~dst:header.D.dst else None);
-  }
-
-let first_packet d ~src ~dst = run_walk d ~src (first_header d ~src ~dst)
-let later_packet d ~src ~dst = run_walk d ~src (later_header d ~src ~dst)
-
-let pp_trace ppf t =
-  D.pp_trace ppf t.walk;
-  match t.handshake with
-  | Some p ->
-      Format.fprintf ppf "@,handshake: %s"
-        (String.concat "-" (List.map string_of_int p))
-  | None -> ()
 
 (* NDDisco's data plane: the pure Carry machine — the source already holds
    the destination's address, so first packets follow the raw route with
@@ -200,11 +156,11 @@ let forward_nd (nd : Nddisco.t) (h : D.header) ~at =
       D.Drop (D.Protocol_error "nddisco: foreign header phase")
 
 let first_header_nd (nd : Nddisco.t) ~src ~dst =
-  carry_header ~dst (Nddisco.raw_route nd ~src ~dst)
+  D.carry_header ~dst (Nddisco.raw_route nd ~src ~dst)
 
 let later_header_nd (nd : Nddisco.t) ~src ~dst =
   match Vicinity.path nd.Nddisco.vicinity dst src with
-  | Some p when src <> dst -> carry_header ~dst (List.rev p)
+  | Some p when src <> dst -> D.carry_header ~dst (List.rev p)
   | _ -> first_header_nd nd ~src ~dst
 
 (* ------------------------------------------------------------------ *)
@@ -217,7 +173,6 @@ let later_header_nd (nd : Nddisco.t) ~src ~dst =
    an Int64. *)
 
 type fast = {
-  ffg : Graph.t;
   fis_lm : bool array;
   ftrees : Landmark_trees.t;
   flm : int array array;  (* parent row per landmark; [||] = unprimed *)
@@ -231,13 +186,10 @@ type fast = {
 }
 
 let compile_nd (nd : Nddisco.t) =
-  let g = nd.Nddisco.graph in
-  let n = Graph.n g in
   {
-    ffg = g;
     fis_lm = nd.Nddisco.landmarks.Landmarks.is_landmark;
     ftrees = nd.Nddisco.trees;
-    flm = Array.make n [||];
+    flm = Landmark_trees.rows nd.Nddisco.trees;
     fviews = Vicinity.slots nd.Nddisco.vicinity;
     fghi = [||];
     fglo = [||];
@@ -262,11 +214,8 @@ let compile (d : Disco.t) =
   done;
   { base with fghi; fglo; fgbits; ffib = Some (Resolution.fib d.Disco.resolution) }
 
-let fast_prime_lm f lm =
-  if Array.length f.flm.(lm) = 0 then
-    f.flm.(lm) <- Landmark_trees.parents f.ftrees ~lm
-
-let fast_prime_nd f ~src:_ ~dst = if f.fis_lm.(dst) then fast_prime_lm f dst
+let fast_prime_nd f ~src:_ ~dst =
+  if f.fis_lm.(dst) then Landmark_trees.prime f.ftrees f.flm dst
 
 let fast_owner f dst =
   match f.ffib with
@@ -274,10 +223,10 @@ let fast_owner f dst =
   | None -> -1
 
 let fast_prime f ~src:_ ~dst =
-  if f.fis_lm.(dst) then fast_prime_lm f dst
+  if f.fis_lm.(dst) then Landmark_trees.prime f.ftrees f.flm dst
   else begin
-    fast_prime_lm f f.falm.(dst);
-    fast_prime_lm f (fast_owner f dst)
+    Landmark_trees.prime f.ftrees f.flm f.falm.(dst);
+    Landmark_trees.prime f.ftrees f.flm (fast_owner f dst)
   end
 
 (* [w]'s index in V(v)'s sorted member row, or -1. *)
@@ -417,11 +366,7 @@ let rec fd_seek f (pkt : D.packet) u tried =
   if u = dst then D.fast_deliver
   else begin
     let c = local_fill f pkt u dst in
-    if c >= 1 then begin
-      pkt.D.pmode <- D.mode_carry;
-      pkt.D.pway <- -1;
-      D.route_next pkt
-    end
+    if c >= 1 then D.fast_carry pkt
     else if c < 0 then D.fast_protocol
     else if fd_same_group f u dst then fd_addr_carry f pkt u dst
     else if not tried then begin
@@ -453,11 +398,7 @@ and fd_addr_carry f (pkt : D.packet) u dst =
   let c = addr_fill f pkt u dst in
   if c < 0 then D.fast_protocol
   else if c = 0 then D.fast_no_route
-  else begin
-    pkt.D.pmode <- D.mode_carry;
-    pkt.D.pway <- -1;
-    D.route_next pkt
-  end
+  else D.fast_carry pkt
 
 and fd_resolution f (pkt : D.packet) u dst =
   let owner = fast_owner f dst in
@@ -485,11 +426,7 @@ and fd_steer f (pkt : D.packet) u tried =
   end
   else begin
     let c = local_fill f pkt u dst in
-    if c >= 1 then begin
-      pkt.D.pmode <- D.mode_carry;
-      pkt.D.pway <- -1;
-      D.route_next pkt
-    end
+    if c >= 1 then D.fast_carry pkt
     else if c < 0 then D.fast_protocol
     else D.route_next pkt
   end
@@ -501,8 +438,7 @@ and fd_carry f (pkt : D.packet) u =
     let c = local_fill f pkt u dst in
     if c >= 1 then D.route_next pkt
     else if c < 0 then D.fast_protocol
-    else if D.route_len pkt > 0 then D.route_next pkt
-    else D.fast_no_route
+    else D.fast_label_hop pkt
   end
 
 let fast_step f (pkt : D.packet) u =

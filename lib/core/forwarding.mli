@@ -28,13 +28,6 @@
       handshake), which is where later packets' stretch-3 routes come
       from. *)
 
-type trace = {
-  walk : Dataplane.trace;  (** the executed walk, typed steps included *)
-  handshake : int list option;
-      (** the exact path the destination reveals if the source is in its
-          vicinity (None otherwise) *)
-}
-
 val ttl_factor : int
 (** TTL budget as a multiple of [n] (Disco uses [4 * n] decisions). *)
 
@@ -48,18 +41,10 @@ val first_header : Disco.t -> src:int -> dst:int -> Dataplane.header
 
 val later_header : Disco.t -> src:int -> dst:int -> Dataplane.header
 (** The header once the source holds the destination's address (and the
-    handshake path when the destination sent one): an explicit
-    {!Dataplane.Carry} route, falling back to a first-packet header when
-    the source holds nothing. *)
-
-val first_packet : Disco.t -> src:int -> dst:int -> trace
-(** Execute a first packet addressed to [dst]'s flat name. *)
-
-val later_packet : Disco.t -> src:int -> dst:int -> trace
-(** Execute a packet once the source holds the destination's address (and
-    the handshake reply, if one was sent). *)
-
-val pp_trace : Format.formatter -> trace -> unit
+    handshake path, which the destination sends iff the source is in its
+    vicinity): an explicit {!Dataplane.Carry} route, falling back to a
+    first-packet header when the source holds nothing.  Walk it with
+    [Dataplane.walk ~forward:(forward d)]. *)
 
 (** {2 NDDisco}
 

@@ -2,12 +2,13 @@ module Graph = Disco_graph.Graph
 module Dijkstra = Disco_graph.Dijkstra
 module Pool = Disco_util.Pool
 
-(* Lazily-computed SSSP trees, one per landmark (or per tree root a route
-   actually touches). The memo is shared by every query handle of a router
-   — it is what makes routes on converged state cheap — so it must tolerate
-   concurrent fills from pool tasks: [Pool.Memo] serializes table access,
-   and the SSSP itself is a deterministic function of the root, so a lost
-   fill race converges on an equal tree. Each fill runs on its own
+(* Lazily-computed SSSP trees, one per root a route actually touches:
+   landmarks for Disco, NDDisco and S4, routers for SEATTLE's link-state
+   table, pivots for TZ. The memo is shared by every query handle of a
+   router — it is what makes routes on converged state cheap — so it must
+   tolerate concurrent fills from pool tasks: [Pool.Memo] serializes table
+   access, and the SSSP itself is a deterministic function of the root, so
+   a lost fill race converges on an equal tree. Each fill runs on its own
    workspace; a shared scratch workspace here would race. *)
 
 type t = {
@@ -33,5 +34,12 @@ let path_from t ~lm v =
 
 let path_to t v ~lm = List.rev (path_from t ~lm v)
 let parents t ~lm = (tree t lm).Dijkstra.parent
+
+(* The compiled fast paths' view: one parent row per root, [||] until a
+   flow's setup primes it, so the hop loop only ever reads rows. *)
+let rows t = Array.make (Graph.n t.graph) [||]
+
+let prime t rows root =
+  if Array.length rows.(root) = 0 then rows.(root) <- parents t ~lm:root
 
 let cached_count t = Pool.Memo.length t.cache

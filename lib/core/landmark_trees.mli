@@ -1,9 +1,10 @@
-(** Shortest-path trees rooted at landmarks.
+(** Shortest-path trees, one per root: landmarks (Disco, NDDisco, S4),
+    routers (SEATTLE's link-state table) or pivots (TZ).
 
     Path-vector convergence leaves every node with a shortest path to every
     landmark; statically that is the landmark's single-source tree. Trees
     are computed lazily and cached — a stretch experiment touches only the
-    landmarks involved in its sampled routes. *)
+    roots involved in its sampled routes. The [~lm] label names any root. *)
 
 type t
 
@@ -23,7 +24,16 @@ val path_to : t -> int -> lm:int -> int list
 val parents : t -> lm:int -> int array
 (** The tree's parent array (predecessor on the path from [lm]; -1 at the
     root and at unreachable nodes).  Forces the tree.  The compiled fast
-    paths flatten landmark routes through this: following parents from [v]
+    paths flatten root routes through this: following parents from [v]
     reads off [path_to v ~lm] without allocating. *)
+
+val rows : t -> int array array
+(** A fresh table of parent rows for a compiled fast path: one slot per
+    node, every slot unprimed ([[||]]). *)
+
+val prime : t -> int array array -> int -> unit
+(** [prime t rows root] fills [rows.(root)] with [parents t ~lm:root]
+    unless it is filled already (idempotent).  Compiled forwards call it
+    at flow setup, so the hop loop only reads rows. *)
 
 val cached_count : t -> int

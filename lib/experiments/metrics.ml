@@ -29,7 +29,6 @@ type stretch_series = { first : float array; later : float array }
 
 type stretch_result = {
   s_disco : stretch_series;
-  s_nddisco : stretch_series;
   s_s4 : stretch_series;
   s_vrr : float array option;
   vrr_failures : int;
@@ -38,13 +37,12 @@ type stretch_result = {
 (* All route calls below read converged state only (the same fact that
    makes ROUTER.fork the identity for these schemes), so per-pair mapping
    is safe to fan out over the pool. *)
-let stretch ?(heuristic = Core.Shortcut.No_path_knowledge) ?(pairs = 2000)
-    ?(with_vrr = false) ?jobs (tb : Testbed.t) =
+let stretch ?(pairs = 2000) ?(with_vrr = false) ?jobs (tb : Testbed.t) =
+  let heuristic = Core.Shortcut.No_path_knowledge in
   let n = Graph.n tb.graph in
   let rng = Testbed.rng tb ~purpose:11 in
   let groups = Engine.draw_pairs rng ~n ~pairs in
   let vrr = if with_vrr then Some (Testbed.vrr tb) else None in
-  let nd = Testbed.nd tb in
   let per_pair =
     Engine.map_groups ?jobs ~seed:(Rng.derive tb.Testbed.seed 11) tb.graph
       groups (fun ~src:s ~dst:t ~dist ->
@@ -56,8 +54,6 @@ let stretch ?(heuristic = Core.Shortcut.No_path_knowledge) ?(pairs = 2000)
         in
         ( st (Core.Disco.route_first ~heuristic tb.disco ~src:s ~dst:t),
           st (Core.Disco.route_later ~heuristic tb.disco ~src:s ~dst:t),
-          st (Core.Nddisco.route_first ~heuristic nd ~src:s ~dst:t),
-          st (Core.Nddisco.route_later ~heuristic nd ~src:s ~dst:t),
           st (S4.route_first tb.s4 ~src:s ~dst:t),
           st (S4.route_later tb.s4 ~src:s ~dst:t),
           v ))
@@ -65,29 +61,24 @@ let stretch ?(heuristic = Core.Shortcut.No_path_knowledge) ?(pairs = 2000)
   let pick f = Array.map f per_pair in
   let vrr_samples =
     Array.to_list per_pair
-    |> List.filter_map (fun (_, _, _, _, _, _, v) -> Option.join v)
+    |> List.filter_map (fun (_, _, _, _, v) -> Option.join v)
     |> Array.of_list
   in
   let vrr_failures =
     Array.fold_left
-      (fun acc (_, _, _, _, _, _, v) -> if v = Some None then acc + 1 else acc)
+      (fun acc (_, _, _, _, v) -> if v = Some None then acc + 1 else acc)
       0 per_pair
   in
   {
     s_disco =
       {
-        first = pick (fun (x, _, _, _, _, _, _) -> x);
-        later = pick (fun (_, x, _, _, _, _, _) -> x);
-      };
-    s_nddisco =
-      {
-        first = pick (fun (_, _, x, _, _, _, _) -> x);
-        later = pick (fun (_, _, _, x, _, _, _) -> x);
+        first = pick (fun (x, _, _, _, _) -> x);
+        later = pick (fun (_, x, _, _, _) -> x);
       };
     s_s4 =
       {
-        first = pick (fun (_, _, _, _, x, _, _) -> x);
-        later = pick (fun (_, _, _, _, _, x, _) -> x);
+        first = pick (fun (_, _, x, _, _) -> x);
+        later = pick (fun (_, _, _, x, _) -> x);
       };
     s_vrr = (if with_vrr then Some vrr_samples else None);
     vrr_failures;

@@ -22,22 +22,20 @@ type stretch_series = { first : float array; later : float array }
 
 type stretch_result = {
   s_disco : stretch_series;
-  s_nddisco : stretch_series;
   s_s4 : stretch_series;
   s_vrr : float array option;
   vrr_failures : int;
 }
 
 val stretch :
-  ?heuristic:Disco_core.Shortcut.heuristic ->
   ?pairs:int ->
   ?with_vrr:bool ->
   ?jobs:int ->
   Testbed.t ->
   stretch_result
-(** Stretch over [pairs] sampled pairs (default 2000). NDDisco first
-    packets assume the source knows the address (its name-dependent
-    contract); S4 first packets pay the resolution detour; Disco first
+(** Stretch over [pairs] sampled pairs (default 2000), shortcutting with
+    {!Disco_core.Shortcut.No_path_knowledge} as in the paper's headline
+    results. S4 first packets pay the resolution detour; Disco first
     packets use sloppy groups. [jobs] fans the per-source tasks out over a
     domain pool; results are identical for every value (default 1). *)
 

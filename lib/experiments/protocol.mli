@@ -21,8 +21,8 @@
     The scheme modules' closed-form routes also produce figures, so
     deleting an oracle means moving these to walks first:
     - [Metrics.stretch] builds fig3, fig4, fig5 and fig9 from
-      [Disco.route_first]/[route_later], [Nddisco.route_first]/[route_later],
-      [S4.route_first]/[route_later] and [Vrr.route];
+      [Disco.route_first]/[route_later], [S4.route_first]/[route_later]
+      and [Vrr.route];
     - [Metrics.mean_stretch_by_heuristic] builds fig6 from
       [Disco.route_later];
     - the [header] figure's heuristic table sizes [Disco.route_first]
@@ -31,6 +31,10 @@
 
     Adding a scheme is a one-registration change:
     + implement [ROUTER] (usually a thin adapter over an existing module),
+      building its label legs from [Dataplane.carry_header]/[carry_along]/
+      [label_hop] and their fast twins [fast_carry]/[fast_label_hop], and
+      its shortest-path trees (typed paths and the compiled face's primed
+      parent rows) from [Landmark_trees],
     + [Protocol.register (module My_router)] in {!module:Routers},
     + done — [test_router_registry] picks it up and enforces the contract.
 *)

@@ -319,26 +319,20 @@ module Pathvector_router = struct
     let sp = sssp t ~tel src in
     if src = dst || sp.Dijkstra.dist.(dst) = infinity then D.plain ~dst D.Carry
     else
-      match
-        Dijkstra.path_of_parents
-          ~parent:(fun u -> sp.Dijkstra.parent.(u))
-          ~src ~dst
-      with
-      | _ :: rest -> { (D.plain ~dst D.Carry) with D.labels = rest }
-      | [] -> D.plain ~dst D.Carry
+      D.carry_header ~dst
+        (Dijkstra.path_of_parents
+           ~parent:(fun u -> sp.Dijkstra.parent.(u))
+           ~src ~dst)
 
   let later_header = first_header
 
   let forward _t (h : D.header) ~at:u =
     if u = h.D.dst then D.Deliver
     else
-      (* disco-lint: allow L7 the scrutinee pairs phase and labels: per-decision by design *)
-      match (h.D.phase, h.D.labels) with
-      | D.Carry, next :: rest ->
-          (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-          D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-      | D.Carry, [] -> D.Drop D.No_route
-      | (D.Seek _ | D.Steer _ | D.Greedy | D.Fallback), _ ->
+      match h.D.phase with
+      (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
+      | D.Carry -> D.label_hop h
+      | D.Seek _ | D.Steer _ | D.Greedy | D.Fallback ->
           (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
           D.Drop (D.Protocol_error "pathvector: foreign header phase")
 
@@ -375,8 +369,7 @@ module Pathvector_router = struct
   let fast_step (_ : t) (pkt : D.packet) u =
     if u = pkt.D.pdst then D.fast_deliver
     else if pkt.D.pmode <> D.mode_carry then D.fast_protocol
-    else if D.route_len pkt > 0 then D.route_next pkt
-    else D.fast_no_route
+    else D.fast_label_hop pkt
 
   let compile t = { D.fstep = fast_step t; D.fprime = (fun ~src:_ ~dst:_ -> ()) }
 end

@@ -28,8 +28,6 @@ let common_prefix_len a b =
     go 0
   end
 
-let directed_distance a b = Int64.sub b a
-
 let ring_distance a b =
   (* disco-lint: allow L7 the ring metric is pinned to Int64; the two boxed intermediates are short-lived minor garbage *)
   let d = Int64.sub b a in

@@ -27,9 +27,6 @@ val common_prefix_len : id -> id -> int
 val ring_distance : id -> id -> id
 (** Circular distance min(|a-b|, 2^64-|a-b|) as an unsigned value. *)
 
-val directed_distance : id -> id -> id
-(** Clockwise (increasing, wrapping) distance from [a] to [b]. *)
-
 val to_hex : id -> string
 
 val group_size_bits : n_estimate:int -> int

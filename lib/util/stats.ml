@@ -69,13 +69,3 @@ let histogram a ~bins =
       counts.(b) <- counts.(b) + 1)
     a;
   Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
-
-let pp_cdf ppf ~label points =
-  List.iter
-    (fun (v, f) -> Format.fprintf ppf "%s %.6g %.4f@." label v f)
-    points

@@ -30,9 +30,3 @@ val cdf_points : float array -> int -> (float * float) list
 
 val histogram : float array -> bins:int -> (float * int) array
 (** Equal-width histogram: [(bin_left_edge, count)] per bin. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-
-val pp_cdf :
-  Format.formatter -> label:string -> (float * float) list -> unit
-(** Print a CDF as gnuplot-style rows: [label value fraction]. *)

@@ -1,8 +1,12 @@
 (* The scheme-agnostic walker itself: TTL exhaustion, loop detection,
    rewrite accounting at a proxy, the data-plane contract (neighbor hops
-   only, deliver only at the destination), and header byte accounting. *)
+   only, deliver only at the destination), and header byte accounting;
+   then the primitives every scheme shares: the label leg and per-root
+   tree rows. *)
 
 module Graph = Disco_graph.Graph
+module Dijkstra = Disco_graph.Dijkstra
+module Core = Disco_core
 module D = Disco_core.Dataplane
 
 (* A weighted line 0 - 1 - ... - (n-1). *)
@@ -129,6 +133,94 @@ let test_byte_accounting () =
     && tr.D.header_bytes_max >= 20
     && tr.D.header_bytes_total <= tr.D.hops * tr.D.header_bytes_max)
 
+(* The shared label leg over shortest paths of random graphs.  Typed:
+   riding [carry_header] with [label_hop] visits exactly the path, then
+   drops; [carry_along] switches to Carry along a path of two or more
+   nodes and drops on a shorter one.  Fast: the same route loaded into a
+   packet yields the same labels through [fast_carry] then
+   [fast_label_hop], then [fast_no_route]. *)
+let test_label_leg () =
+  let steer src =
+    { (D.plain ~dst:src (D.Steer { tried_proxy = true })) with D.waypoint = src }
+  in
+  let rec ride h acc =
+    match D.label_hop h with
+    | D.Rewrite (h', next, D.Label_hop) -> ride h' (next :: acc)
+    | D.Drop D.No_route -> List.rev acc
+    | _ -> Alcotest.fail "label_hop: neither a label hop nor a no-route drop"
+  in
+  let rec fast_labels pkt acc =
+    let r = D.fast_label_hop pkt in
+    if r >= 0 then fast_labels pkt (r :: acc) else (List.rev acc, r)
+  in
+  for seed = 1 to 12 do
+    let g = Helpers.random_weighted_graph seed in
+    let src = seed mod Graph.n g in
+    let sp = Dijkstra.sssp ~ws:(Dijkstra.make_workspace g) g src in
+    let pkt = D.packet_create g in
+    let h0 = steer src in
+    List.iter
+      (fun short ->
+        Alcotest.(check bool) "carry_along drops under two nodes" true
+          (D.carry_along h0 short D.Direct_route = D.Drop D.No_route))
+      [ []; [ src ] ];
+    for dst = 0 to Graph.n g - 1 do
+      if sp.Dijkstra.dist.(dst) < infinity then begin
+        let path =
+          Dijkstra.path_of_parents
+            ~parent:(fun u -> sp.Dijkstra.parent.(u))
+            ~src ~dst
+        in
+        let what = Printf.sprintf "seed %d, %d->%d" seed src dst in
+        Alcotest.(check (list int)) (what ^ ": typed ride") path
+          (src :: ride (D.carry_header ~dst path) []);
+        let h = { h0 with D.dst } in
+        (match path with
+        | _ :: next :: rest ->
+            Alcotest.(check bool) (what ^ ": carry_along") true
+              (D.carry_along h path D.Direct_route
+              = D.Rewrite
+                  ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
+                    next,
+                    D.Direct_route ));
+            D.load_packet pkt { h with D.labels = List.tl path };
+            let first = D.fast_carry pkt in
+            Alcotest.(check bool) (what ^ ": fast_carry enters Carry") true
+              (pkt.D.pmode = D.mode_carry && pkt.D.pway = -1);
+            let labels, verdict = fast_labels pkt [ first ] in
+            Alcotest.(check (list int)) (what ^ ": fast labels") (List.tl path)
+              labels;
+            Alcotest.(check int) (what ^ ": fast end") D.fast_no_route verdict
+        | _ ->
+            D.load_packet pkt (D.carry_header ~dst path);
+            Alcotest.(check int) (what ^ ": empty window") D.fast_no_route
+              (D.fast_label_hop pkt))
+      end
+    done
+  done
+
+(* [Landmark_trees.prime] fills exactly the primed root's row, with the
+   tree's own parent array, and a second prime changes nothing. *)
+let test_prime_rows () =
+  let g = Helpers.random_weighted_graph 5 in
+  let trees = Core.Landmark_trees.create g in
+  let rows = Core.Landmark_trees.rows trees in
+  Alcotest.(check int) "one row per node" (Graph.n g) (Array.length rows);
+  let root = Graph.n g / 2 in
+  Core.Landmark_trees.prime trees rows root;
+  let row = rows.(root) in
+  Alcotest.(check (array int)) "primed row = parents"
+    (Core.Landmark_trees.parents trees ~lm:root)
+    row;
+  Core.Landmark_trees.prime trees rows root;
+  Alcotest.(check bool) "second prime keeps the row" true (rows.(root) == row);
+  Alcotest.(check int) "one tree forced" 1 (Core.Landmark_trees.cached_count trees);
+  Array.iteri
+    (fun v r ->
+      if v <> root then
+        Alcotest.(check int) (Printf.sprintf "row %d unprimed" v) 0 (Array.length r))
+    rows
+
 let suite =
   [
     Alcotest.test_case "ttl exhaustion" `Quick test_ttl_exhaustion;
@@ -140,4 +232,8 @@ let suite =
       test_deliver_away_from_dst_is_protocol_error;
     Alcotest.test_case "src = dst" `Quick test_src_equals_dst;
     Alcotest.test_case "byte accounting" `Quick test_byte_accounting;
+    Alcotest.test_case "label leg: typed and fast ride the path" `Quick
+      test_label_leg;
+    Alcotest.test_case "landmark trees: prime fills one row once" `Quick
+      test_prime_rows;
   ]

@@ -108,7 +108,6 @@ let test_metrics_stretch_jobs_invariant () =
   in
   check "disco first" seq.Metrics.s_disco.Metrics.first par.Metrics.s_disco.Metrics.first;
   check "disco later" seq.Metrics.s_disco.Metrics.later par.Metrics.s_disco.Metrics.later;
-  check "nddisco later" seq.Metrics.s_nddisco.Metrics.later par.Metrics.s_nddisco.Metrics.later;
   check "s4 first" seq.Metrics.s_s4.Metrics.first par.Metrics.s_s4.Metrics.first;
   (match (seq.Metrics.s_vrr, par.Metrics.s_vrr) with
   | Some a, Some b -> check "vrr" a b

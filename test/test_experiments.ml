@@ -38,7 +38,6 @@ let test_stretch_shapes () =
   in
   check_series "disco first" sr.Metrics.s_disco.Metrics.first;
   check_series "disco later" sr.Metrics.s_disco.Metrics.later;
-  check_series "nddisco first" sr.Metrics.s_nddisco.Metrics.first;
   check_series "s4 later" sr.Metrics.s_s4.Metrics.later;
   (match sr.Metrics.s_vrr with
   | Some v -> check_series "vrr" v

@@ -9,18 +9,28 @@ let build seed =
   let g = Helpers.random_weighted_graph seed in
   (g, Disco.build ~rng:(Rng.create seed) g)
 
+(* Walk Disco's forward from [src] over the header a source emits. *)
+let walk d ~src header =
+  let g = d.Disco.nd.Core.Nddisco.graph in
+  D.walk
+    ~ttl:(Forwarding.ttl_factor * Graph.n g)
+    g ~forward:(Forwarding.forward d) ~src header
+
+let first_packet d ~src ~dst = walk d ~src (Forwarding.first_header d ~src ~dst)
+let later_packet d ~src ~dst = walk d ~src (Forwarding.later_header d ~src ~dst)
+
 let test_delivery_all_pairs () =
   let g, d = build 3 in
   let n = Graph.n g in
   for s = 0 to n - 1 do
     for t = 0 to n - 1 do
       if s <> t then begin
-        let tr = Forwarding.first_packet d ~src:s ~dst:t in
-        Alcotest.(check bool) (Printf.sprintf "%d->%d delivered" s t) true tr.Forwarding.walk.D.delivered;
-        Helpers.check_path g ~src:s ~dst:t tr.Forwarding.walk.D.path;
-        let tr' = Forwarding.later_packet d ~src:s ~dst:t in
-        Alcotest.(check bool) "later delivered" true tr'.Forwarding.walk.D.delivered;
-        Helpers.check_path g ~src:s ~dst:t tr'.Forwarding.walk.D.path
+        let tr = first_packet d ~src:s ~dst:t in
+        Alcotest.(check bool) (Printf.sprintf "%d->%d delivered" s t) true tr.D.delivered;
+        Helpers.check_path g ~src:s ~dst:t tr.D.path;
+        let tr' = later_packet d ~src:s ~dst:t in
+        Alcotest.(check bool) "later delivered" true tr'.D.delivered;
+        Helpers.check_path g ~src:s ~dst:t tr'.D.path
       end
     done
   done
@@ -34,11 +44,11 @@ let test_matches_control_plane () =
   for s = 0 to min 20 (n - 1) do
     for t = 0 to min 20 (n - 1) do
       if s <> t then begin
-        let tr = Forwarding.first_packet d ~src:s ~dst:t in
+        let tr = first_packet d ~src:s ~dst:t in
         let route =
           Disco.route_first ~heuristic:Core.Shortcut.To_destination d ~src:s ~dst:t
         in
-        let lf = Helpers.path_len g tr.Forwarding.walk.D.path in
+        let lf = Helpers.path_len g tr.D.path in
         let lc = Helpers.path_len g route in
         if Float.abs (lf -. lc) > 1e-9 then
           Alcotest.failf "%d->%d: forwarded %.6f vs computed %.6f" s t lf lc
@@ -52,11 +62,11 @@ let test_later_matches_control_plane () =
   for s = 0 to min 20 (n - 1) do
     for t = 0 to min 20 (n - 1) do
       if s <> t then begin
-        let tr = Forwarding.later_packet d ~src:s ~dst:t in
+        let tr = later_packet d ~src:s ~dst:t in
         let route =
           Disco.route_later ~heuristic:Core.Shortcut.To_destination d ~src:s ~dst:t
         in
-        let lf = Helpers.path_len g tr.Forwarding.walk.D.path in
+        let lf = Helpers.path_len g tr.D.path in
         let lc = Helpers.path_len g route in
         if lf > lc +. 1e-9 then
           Alcotest.failf "%d->%d: forwarded %.6f worse than computed %.6f" s t lf lc
@@ -65,34 +75,39 @@ let test_later_matches_control_plane () =
   done
 
 let test_handshake_iff_in_vicinity () =
+  (* The destination reveals its exact path to the source iff the source
+     is in its vicinity; the later header carries that path, and
+     otherwise the address route through the destination's landmark. *)
   let g, d = build 9 in
   let nd = d.Disco.nd in
   let n = Graph.n g in
   for s = 0 to min 15 (n - 1) do
     for t = 0 to min 15 (n - 1) do
       if s <> t then begin
-        let tr = Forwarding.first_packet d ~src:s ~dst:t in
-        let expect = Core.Vicinity.mem nd.Core.Nddisco.vicinity t s in
-        Alcotest.(check bool)
-          (Printf.sprintf "handshake %d->%d" s t)
-          expect
-          (tr.Forwarding.handshake <> None);
-        match tr.Forwarding.handshake with
-        | Some p ->
-            Helpers.check_path g ~src:s ~dst:t p;
+        let p = s :: (Forwarding.later_header d ~src:s ~dst:t).D.labels in
+        Helpers.check_path g ~src:s ~dst:t p;
+        match Core.Vicinity.path nd.Core.Nddisco.vicinity t s with
+        | Some handshake ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "handshake %d->%d" s t)
+              (List.rev handshake) p;
             (* The revealed path is exact. *)
             let sp = Disco_graph.Dijkstra.distance g s t in
             Alcotest.(check bool) "handshake path is shortest" true
               (Float.abs (Helpers.path_len g p -. sp) < 1e-9)
-        | None -> ()
+        | None ->
+            Alcotest.(check bool)
+              (Printf.sprintf "no handshake %d->%d: via the address landmark" s t)
+              true
+              (List.mem (Core.Nddisco.address_landmark nd t) p)
       end
     done
   done
 
 let test_steps_recorded () =
   let _, d = build 11 in
-  let tr = Forwarding.first_packet d ~src:0 ~dst:7 in
-  let steps = tr.Forwarding.walk.D.steps in
+  let tr = first_packet d ~src:0 ~dst:7 in
+  let steps = tr.D.steps in
   Alcotest.(check bool) "has decisions" true (List.length steps > 0);
   let last = List.nth steps (List.length steps - 1) in
   (* Typed action, not a string to pattern-match on. *)
@@ -101,15 +116,15 @@ let test_steps_recorded () =
 
 let test_trivial () =
   let _, d = build 13 in
-  let tr = Forwarding.first_packet d ~src:4 ~dst:4 in
-  Alcotest.(check bool) "delivered" true tr.Forwarding.walk.D.delivered;
-  Alcotest.(check (list int)) "stays put" [ 4 ] tr.Forwarding.walk.D.path;
-  Alcotest.(check int) "no hops" 0 tr.Forwarding.walk.D.hops
+  let tr = first_packet d ~src:4 ~dst:4 in
+  Alcotest.(check bool) "delivered" true tr.D.delivered;
+  Alcotest.(check (list int)) "stays put" [ 4 ] tr.D.path;
+  Alcotest.(check int) "no hops" 0 tr.D.hops
 
 let test_pp_trace () =
   let _, d = build 15 in
-  let tr = Forwarding.first_packet d ~src:0 ~dst:9 in
-  let s = Format.asprintf "%a" Forwarding.pp_trace tr in
+  let tr = first_packet d ~src:0 ~dst:9 in
+  let s = Format.asprintf "%a" D.pp_trace tr in
   Alcotest.(check bool) "renders" true (String.length s > 10)
 
 let prop_first_packet_stretch_bound =
@@ -144,16 +159,16 @@ let prop_first_packet_stretch_bound =
             && sp.Disco_graph.Dijkstra.dist.(t) > 0.0
             && sp.Disco_graph.Dijkstra.dist.(t) < infinity
           then begin
-            let tr = Forwarding.first_packet d ~src:s ~dst:t in
+            let tr = first_packet d ~src:s ~dst:t in
             (match Disco.classify_first d ~src:s ~dst:t with
             | Disco.Resolution_fallback -> () (* no bound in the fallback *)
             | _ ->
                 if
-                  Helpers.path_len g tr.Forwarding.walk.D.path
+                  Helpers.path_len g tr.D.path
                   /. sp.Disco_graph.Dijkstra.dist.(t)
                   > 7.0 +. 1e-9
                 then ok := false);
-            if not tr.Forwarding.walk.D.delivered then ok := false
+            if not tr.D.delivered then ok := false
           end
         done
       done;
