@@ -17,17 +17,17 @@ type t = {
    the distance slab is count x n, and past a few hundred beacons the
    coordinate no longer gains routing power while the slab dominates
    memory at million-node scale. *)
-let max_default_beacons = 128
+let max_beacons = 128
 
-let build ?beacons ?(routing_beacons = 10) ~rng graph =
+(* The packet routes on the destination's closest 10 beacons, as in the
+   BVR paper. *)
+let max_routing_beacons = 10
+
+let build ~rng graph =
   let n = Graph.n graph in
   let count =
-    match beacons with
-    | Some b -> max 1 (min b n)
-    | None ->
-        let f = float_of_int n in
-        min max_default_beacons
-          (max 1 (int_of_float (ceil (sqrt (f *. (log f /. log 2.0))))))
+    let f = float_of_int n in
+    min max_beacons (max 1 (int_of_float (ceil (sqrt (f *. (log f /. log 2.0))))))
   in
   let beacons = Rng.sample_without_replacement rng count n in
   Array.sort Int.compare beacons;
@@ -43,7 +43,7 @@ let build ?beacons ?(routing_beacons = 10) ~rng graph =
         parent.(base + v) <- run.Dijkstra.parent.(v)
       done)
     beacons;
-  { graph; beacons; dist; parent; routing_beacons = min routing_beacons count }
+  { graph; beacons; dist; parent; routing_beacons = min max_routing_beacons count }
 
 let beacon_count t = Array.length t.beacons
 

@@ -16,14 +16,12 @@
 
 type t
 
-val build :
-  ?beacons:int -> ?routing_beacons:int -> rng:Disco_util.Rng.t ->
-  Disco_graph.Graph.t -> t
-(** [beacons] defaults to ~sqrt(n log n) (the landmark rate) capped at
-    128 — the count x n distance slab dominates memory at million-node
-    scale and more beacons stop buying routing power well before that;
-    the packet routes on the destination's [routing_beacons] (default 10)
-    closest beacons, as in the BVR paper. *)
+val build : rng:Disco_util.Rng.t -> Disco_graph.Graph.t -> t
+(** ~sqrt(n log n) beacons (the landmark rate) capped at 128 — the
+    count x n distance slab dominates memory at million-node scale and
+    more beacons stop buying routing power well before that; the packet
+    routes on the destination's 10 closest beacons, as in the BVR
+    paper. *)
 
 val beacon_count : t -> int
 

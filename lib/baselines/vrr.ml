@@ -11,7 +11,6 @@ type entry = { ea : int; eb : int; next_a : int; next_b : int }
 
 type t = {
   graph : Graph.t;
-  r : int;
   vids : Hash_space.id array;
   entries : Packed.Csr.t;
       (* per node, (ea, eb, next_a, next_b) blocks laid out in install
@@ -64,38 +63,9 @@ let greedy_route_gen ~graph ~next_toward ~best_endpoint ~direct ~src ~dst =
   (* Int64.minus_one is 2^64 - 1 read as unsigned: no initial bound. *)
   step src None Int64.minus_one [] (8 * n)
 
-(* r/2 successors and r/2 predecessors of [x] within [ring] (node ids
-   sorted by vid). [x] may or may not be present in [ring]. *)
-let ring_neighbors ~vids ~ring ~r x =
-  let m = Array.length ring in
-  if m = 0 then []
-  else begin
-    let half = max 1 (r / 2) in
-    (* First index with vid >= vid(x), excluding x itself when scanning. *)
-    let lo = ref 0 and hi = ref m in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Hash_space.compare_unsigned vids.(ring.(mid)) vids.(x) < 0 then
-        lo := mid + 1
-      else hi := mid
-    done;
-    let start = !lo mod m in
-    let collect dir =
-      let out = ref [] and i = ref start and seen = ref 0 and steps = ref 0 in
-      if dir < 0 then i := (start + m - 1) mod m;
-      while !seen < half && !steps < m do
-        let candidate = ring.(!i) in
-        if candidate <> x then begin
-          out := candidate :: !out;
-          incr seen
-        end;
-        incr steps;
-        i := (!i + dir + m) mod m
-      done;
-      !out
-    in
-    List.sort_uniq Int.compare (collect 1 @ collect (-1))
-  end
+(* The paper's vset size r = 4: r/2 ring successors and r/2
+   predecessors. *)
+let half_vset = 2
 
 let bfs_join_order rng graph =
   let n = Graph.n graph in
@@ -118,10 +88,9 @@ let bfs_join_order rng graph =
   assert (!idx = n);
   order
 
-let build ?(r = 4) ?names ~rng graph =
+let build ~rng graph =
   let n = Graph.n graph in
-  let names = match names with Some a -> a | None -> Core.Name.default_array n in
-  let vids = Array.map Hash_space.of_name names in
+  let vids = Array.map Hash_space.of_name (Core.Name.default_array n) in
   let tables = Array.make n [] in
   let path_store = Hashtbl.create (2 * n) in
   let fallbacks = ref 0 in
@@ -140,18 +109,18 @@ let build ?(r = 4) ?names ~rng graph =
   let ring_pos = Array.make n 0 in
   Array.iteri (fun i v -> ring_pos.(v) <- i) full_ring;
   let fen = Packed.Fenwick.create n in
-  (* [ring_neighbors] over the joined subset, via Fenwick rank/select
-     around [x]'s fixed ring position. *)
+  (* [x]'s vset within the joined subset of the ring: the [half_vset]
+     joined successors and predecessors, via Fenwick rank/select around
+     [x]'s fixed ring position ([x] itself may or may not have joined). *)
   let joined_ring_neighbors x =
     let total = Packed.Fenwick.total fen in
     if total = 0 then []
     else begin
-      let half = max 1 (r / 2) in
       let start = Packed.Fenwick.prefix fen ring_pos.(x) mod total in
       let collect dir =
         let out = ref [] and i = ref start and seen = ref 0 and steps = ref 0 in
         if dir < 0 then i := (start + total - 1) mod total;
-        while !seen < half && !steps < total do
+        while !seen < half_vset && !steps < total do
           let candidate = full_ring.(Packed.Fenwick.kth fen !i) in
           if candidate <> x then begin
             out := candidate :: !out;
@@ -345,10 +314,10 @@ let build ?(r = 4) ?names ~rng graph =
       Packed.Fenwick.add fen ring_pos.(x) 1;
       List.iter (fun y -> establish x y) vset)
     order;
-  (* Converged vsets over the full ring; tear down stale paths. *)
+  (* Converged vsets: with everyone joined, the Fenwick prefix is the
+     ring position. Tear down stale paths. *)
   let final_vset_rows =
-    Array.init n (fun x ->
-        Array.of_list (ring_neighbors ~vids ~ring:full_ring ~r x))
+    Array.init n (fun x -> Array.of_list (joined_ring_neighbors x))
   in
   let final_pairs = Hashtbl.create (2 * n) in
   Array.iteri
@@ -392,7 +361,6 @@ let build ?(r = 4) ?names ~rng graph =
   in
   {
     graph;
-    r;
     vids;
     entries;
     final_vsets = Packed.Csr.of_rows final_vset_rows;

@@ -22,10 +22,9 @@
 
 type t
 
-val build :
-  ?r:int -> ?names:Disco_core.Name.t array -> rng:Disco_util.Rng.t ->
-  Disco_graph.Graph.t -> t
-(** [r] defaults to 4 as in the paper's evaluation. *)
+val build : rng:Disco_util.Rng.t -> Disco_graph.Graph.t -> t
+(** Vsets of r = 4, as in the paper's evaluation, over the default
+    names. *)
 
 val route : t -> src:int -> dst:int -> int list option
 (** Greedy virtual-ring forwarding; [None] if the packet loops or stalls

@@ -226,89 +226,87 @@ let check_walk ~violations ~scheme ~spec g ~phase pr ~oracle_route
    detection, which the fast walker doesn't do: where the typed walk
    reports [Loop_detected], the fast walk must merely not deliver (it
    replays the cycle until TTL). *)
-let check_fastpath ~violations ~scheme ~spec (packed : Protocol.packed) tb m =
-  if spec.Spec.fastpath then begin
-    let module R = (val packed : Protocol.ROUTER) in
-    let tel = Telemetry.create () in
-    let rt = R.build tb in
-    let plan = R.compile rt in
-    let g = tb.Testbed.graph in
-    let ttl = R.ttl_factor * Graph.n g in
-    let pkt = Dataplane.packet_create g in
-    let trail = Array.make (ttl + 1) (-1) in
-    let add kind = violations := { Violation.scheme; kind } :: !violations in
-    let trail_path phops =
-      let rec collect i acc = if i < 0 then acc else collect (i - 1) (trail.(i) :: acc) in
-      collect phops []
-    in
-    let check_one ~phase ~src ~dst header (typed : Dataplane.trace) =
-      let size = Dataplane.encoded_size g ~src header in
-      let buf = Bytes.create size in
-      let written = Dataplane.encode_header g ~src header buf ~pos:0 in
-      if written <> size then
-        add
-          (Violation.Fastpath_divergence
-             {
-               phase;
-               src;
-               dst;
-               detail =
-                 Printf.sprintf "codec size mismatch: sized %d, wrote %d" size written;
-             })
-      else begin
-        Dataplane.decode_into g pkt buf ~pos:0 ~src;
-        Dataplane.fast_walk g ~step:plan.Dataplane.fstep pkt ~src ~ttl ~trail;
-        let fast_verdict () =
-          if pkt.Dataplane.pdelivered then "delivered"
-          else Dataplane.drop_to_string pkt.Dataplane.pdrop
-        in
-        let diverge detail = add (Violation.Fastpath_divergence { phase; src; dst; detail }) in
-        let require_same_path () =
-          if trail_path pkt.Dataplane.phops <> typed.Dataplane.path then
+let check_fastpath ~violations ~scheme (packed : Protocol.packed) tb m =
+  let module R = (val packed : Protocol.ROUTER) in
+  let tel = Telemetry.create () in
+  let rt = R.build tb in
+  let plan = R.compile rt in
+  let g = tb.Testbed.graph in
+  let ttl = R.ttl_factor * Graph.n g in
+  let pkt = Dataplane.packet_create g in
+  let trail = Array.make (ttl + 1) (-1) in
+  let add kind = violations := { Violation.scheme; kind } :: !violations in
+  let trail_path phops =
+    let rec collect i acc = if i < 0 then acc else collect (i - 1) (trail.(i) :: acc) in
+    collect phops []
+  in
+  let check_one ~phase ~src ~dst header (typed : Dataplane.trace) =
+    let size = Dataplane.encoded_size g ~src header in
+    let buf = Bytes.create size in
+    let written = Dataplane.encode_header g ~src header buf ~pos:0 in
+    if written <> size then
+      add
+        (Violation.Fastpath_divergence
+           {
+             phase;
+             src;
+             dst;
+             detail =
+               Printf.sprintf "codec size mismatch: sized %d, wrote %d" size written;
+           })
+    else begin
+      Dataplane.decode_into g pkt buf ~pos:0 ~src;
+      Dataplane.fast_walk g ~step:plan.Dataplane.fstep pkt ~src ~ttl ~trail;
+      let fast_verdict () =
+        if pkt.Dataplane.pdelivered then "delivered"
+        else Dataplane.drop_to_string pkt.Dataplane.pdrop
+      in
+      let diverge detail = add (Violation.Fastpath_divergence { phase; src; dst; detail }) in
+      let require_same_path () =
+        if trail_path pkt.Dataplane.phops <> typed.Dataplane.path then
+          diverge
+            (Printf.sprintf "hop sequences differ (fast %d hops, typed %d hops)"
+               pkt.Dataplane.phops
+               (List.length typed.Dataplane.path - 1))
+      in
+      match typed.Dataplane.dropped with
+      | None ->
+          if not pkt.Dataplane.pdelivered then
             diverge
-              (Printf.sprintf "hop sequences differ (fast %d hops, typed %d hops)"
-                 pkt.Dataplane.phops
-                 (List.length typed.Dataplane.path - 1))
-        in
-        match typed.Dataplane.dropped with
-        | None ->
-            if not pkt.Dataplane.pdelivered then
-              diverge
-                (Printf.sprintf "typed walk delivered, fast walk %s" (fast_verdict ()))
-            else require_same_path ()
-        | Some Dataplane.Loop_detected ->
-            if pkt.Dataplane.pdelivered then
-              diverge "typed walk looped, fast walk delivered"
-        | Some Dataplane.Ttl_expired ->
-            if pkt.Dataplane.pdrop <> Dataplane.drop_ttl then
-              diverge
-                (Printf.sprintf "typed walk expired its TTL, fast walk %s"
-                   (fast_verdict ()))
-            else require_same_path ()
-        | Some Dataplane.No_route ->
-            if pkt.Dataplane.pdrop <> Dataplane.drop_no_route then
-              diverge
-                (Printf.sprintf "typed walk dropped (no route), fast walk %s"
-                   (fast_verdict ()))
-            else require_same_path ()
-        | Some (Dataplane.Protocol_error _) ->
-            if pkt.Dataplane.pdrop <> Dataplane.drop_protocol then
-              diverge
-                (Printf.sprintf "typed walk hit a protocol error, fast walk %s"
-                   (fast_verdict ()))
-      end
-    in
-    List.iter
-      (fun pr ->
-        plan.Dataplane.fprime ~src:pr.src ~dst:pr.dst;
-        check_one ~phase:"first" ~src:pr.src ~dst:pr.dst
-          (R.first_header rt ~tel ~src:pr.src ~dst:pr.dst)
-          pr.walk_first;
-        check_one ~phase:"later" ~src:pr.src ~dst:pr.dst
-          (R.later_header rt ~tel ~src:pr.src ~dst:pr.dst)
-          pr.walk_later)
-      m.results
-  end
+              (Printf.sprintf "typed walk delivered, fast walk %s" (fast_verdict ()))
+          else require_same_path ()
+      | Some Dataplane.Loop_detected ->
+          if pkt.Dataplane.pdelivered then
+            diverge "typed walk looped, fast walk delivered"
+      | Some Dataplane.Ttl_expired ->
+          if pkt.Dataplane.pdrop <> Dataplane.drop_ttl then
+            diverge
+              (Printf.sprintf "typed walk expired its TTL, fast walk %s"
+                 (fast_verdict ()))
+          else require_same_path ()
+      | Some Dataplane.No_route ->
+          if pkt.Dataplane.pdrop <> Dataplane.drop_no_route then
+            diverge
+              (Printf.sprintf "typed walk dropped (no route), fast walk %s"
+                 (fast_verdict ()))
+          else require_same_path ()
+      | Some (Dataplane.Protocol_error _) ->
+          if pkt.Dataplane.pdrop <> Dataplane.drop_protocol then
+            diverge
+              (Printf.sprintf "typed walk hit a protocol error, fast walk %s"
+                 (fast_verdict ()))
+    end
+  in
+  List.iter
+    (fun pr ->
+      plan.Dataplane.fprime ~src:pr.src ~dst:pr.dst;
+      check_one ~phase:"first" ~src:pr.src ~dst:pr.dst
+        (R.first_header rt ~tel ~src:pr.src ~dst:pr.dst)
+        pr.walk_first;
+      check_one ~phase:"later" ~src:pr.src ~dst:pr.dst
+        (R.later_header rt ~tel ~src:pr.src ~dst:pr.dst)
+        pr.walk_later)
+    m.results
 
 let check_states ~violations ~scheme ~spec ~n states =
   let add kind = violations := { Violation.scheme; kind } :: !violations in
@@ -467,7 +465,7 @@ let run ?routers ?(spec_of = Spec.find) (sc : Scenario.t) =
           m.results oracles;
         check_states ~violations ~scheme ~spec ~n m.states;
         check_determinism ~violations ~scheme m m';
-        check_fastpath ~violations ~scheme ~spec packed tb m;
+        check_fastpath ~violations ~scheme packed tb m;
         (scheme, m))
       routers
   in

@@ -7,7 +7,6 @@ type t = {
   skip_fallback_first : bool;
   state_bound : (n:int -> float) option;
   walk_exact : bool;
-  fastpath : bool;
 }
 
 (* Calibrated over `disco_check --seed 42 --cases 200` plus 1000-case
@@ -33,7 +32,6 @@ let permissive scheme =
     skip_fallback_first = false;
     state_bound = None;
     walk_exact = false;
-    fastpath = true;
   }
 
 let defaults =
@@ -48,7 +46,6 @@ let defaults =
       skip_fallback_first = false;
       state_bound = Some (fun ~n -> float_of_int (n - 1));
       walk_exact = true;
-      fastpath = true;
     };
     (* SEATTLE: first packet detours through the resolver (no worst-case
        bound); cached forwarding is shortest-path. *)
@@ -61,7 +58,6 @@ let defaults =
       skip_fallback_first = false;
       state_bound = None;
       walk_exact = true;
-      fastpath = true;
     };
     (* BVR and VRR are greedy/geographic: legal to fail, no stretch bound,
        but their data planes replay the oracle's decision procedure
@@ -79,7 +75,6 @@ let defaults =
       skip_fallback_first = false;
       state_bound = Some sqrt_state;
       walk_exact = false;
-      fastpath = true;
     };
     (* NDDisco, Theorem 2: first <= 5, later <= 3, deterministic under
        landmark-in-every-vicinity. *)
@@ -92,7 +87,6 @@ let defaults =
       skip_fallback_first = false;
       state_bound = Some sqrt_state;
       walk_exact = false;
-      fastpath = true;
     };
     (* Disco, Theorem 1: first <= 7 unless the pair fell back to global
        resolution (the w.h.p. clause), later <= 3. *)
@@ -105,7 +99,6 @@ let defaults =
       skip_fallback_first = true;
       state_bound = Some sqrt_state;
       walk_exact = false;
-      fastpath = true;
     };
     (* Thorup–Zwick with k = 2: worst-case stretch 2k - 1 = 3. *)
     {
@@ -117,7 +110,6 @@ let defaults =
       skip_fallback_first = false;
       state_bound = Some sqrt_state;
       walk_exact = true;
-      fastpath = true;
     };
   ]
 

@@ -30,12 +30,6 @@ type t = {
           whose walks may divert at a different-but-equivalent point —
           there the runner requires equal delivery verdicts and equal
           weighted length instead. *)
-  fastpath : bool;
-      (** run the fast≡typed differential: encode the scheme's headers
-          through the wire codec, route them with the compiled forward
-          ([ROUTER.compile] + [Dataplane.fast_walk]) and require the exact
-          typed hop sequence and delivery/drop verdict (typed loop
-          detection aside). True for every built-in scheme. *)
 }
 
 val sqrt_state_slack : float

@@ -123,7 +123,10 @@ let rec label_bits_from g u bits = function
   | [] -> bits
   | v :: rest -> label_bits_from g v (bits + Bits.width_for (Graph.degree g u)) rest
 
-let byte_size ?(name_bytes = 20) g ~at h =
+(* The destination's self-certifying name: a 160-bit hash. *)
+let name_bytes = 20
+
+let byte_size g ~at h =
   let label_bits = label_bits_from g at 0 h.labels in
   let id_bits = if Graph.n g <= 1 then 1 else Bits.width_for (Graph.n g) in
   let bits =
@@ -136,52 +139,62 @@ let byte_size ?(name_bytes = 20) g ~at h =
   in
   (bits + 7) / 8
 
+(* Phase as a small int, mirroring [phase] exactly (the [tried_proxy] bit
+   is the low bit of the seek/steer pair): the wire's mode byte, and the
+   loop key's phase comparison. *)
+let mode_seek = 0
+let mode_seek_tried = 1
+let mode_steer = 2
+let mode_steer_tried = 3
+let mode_carry = 4
+let mode_greedy = 5
+let mode_fallback = 6
+
+let mode_of_phase = function
+  | Seek { tried_proxy } -> if tried_proxy then mode_seek_tried else mode_seek
+  | Steer { tried_proxy } -> if tried_proxy then mode_steer_tried else mode_steer
+  | Carry -> mode_carry
+  | Greedy -> mode_greedy
+  | Fallback -> mode_fallback
+
 (* Loop detection keys on the exact in-flight state: node id plus every
-   header field, rendered into a string (typed, deterministic — no
-   polymorphic hashing of variants). Revisiting a node with a different
-   header is legal; an identical state can never progress under a
-   deterministic forward function. *)
-let phase_key = function
-  | Seek { tried_proxy } -> if tried_proxy then "S1" else "S0"
-  | Steer { tried_proxy } -> if tried_proxy then "T1" else "T0"
-  | Carry -> "C"
-  | Greedy -> "G"
-  | Fallback -> "F"
+   header field, compared field by field by these allocation-free helpers
+   (no polymorphic comparison of variants).  Revisiting a node with a
+   different header is legal; an identical state can never progress under
+   a deterministic forward function.  Float.equal identifies -0.0 with
+   0.0, which no forward's comparisons can tell apart either. *)
+let rec same_labels a b =
+  match a with
+  | [] -> ( match b with [] -> true | _ :: _ -> false)
+  | (x : int) :: a' -> (
+      match b with y :: b' -> x = y && same_labels a' b' | [] -> false)
 
-(* Renders the key into a caller-owned buffer: [walk] keeps one buffer per
-   walk, so a hop pays one short key string (for the seen-table) instead of
-   the former Printf.sprintf + List.map + String.concat chain.  The float
-   bound is keyed by its bit pattern, which is exact. *)
-let add_int_field buf v =
-  Buffer.add_string buf (string_of_int v);
-  Buffer.add_char buf ';'
+let same_header a b =
+  a.dst = b.dst
+  && mode_of_phase a.phase = mode_of_phase b.phase
+  && a.waypoint = b.waypoint && a.anchor = b.anchor
+  && Float.equal a.fbound b.fbound
+  && Int64.equal a.vbound b.vbound
+  && a.extra_bytes = b.extra_bytes
+  && same_labels a.labels b.labels
 
-let state_key_into buf at h =
-  Buffer.clear buf;
-  add_int_field buf at;
-  Buffer.add_string buf (phase_key h.phase);
-  Buffer.add_char buf ';';
-  add_int_field buf h.waypoint;
-  add_int_field buf h.anchor;
-  Buffer.add_string buf (Int64.to_string (Int64.bits_of_float h.fbound));
-  Buffer.add_char buf ';';
-  Buffer.add_string buf (Int64.to_string h.vbound);
-  Buffer.add_char buf ';';
-  add_int_field buf h.extra_bytes;
-  List.iter (fun l -> add_int_field buf l) h.labels;
-  Buffer.contents buf
+let rec seen_among h = function
+  | [] -> false
+  | h' :: rest -> same_header h h' || seen_among h rest
 
 (* [walk] is hot (the manifest's hop loop) but it is the *instrumented*
    reference walker: it exists to produce a trace, so the trace recording
    itself (step list, path list, seen-table) is the product and carries
    waivers.  What the typed pass holds allocation-free is the per-hop
    decision machinery: byte accounting (byte_size), the link-membership
-   check (Graph.has_edge), and the degree/width lookups.  The per-walk
-   setup (six closures, five refs, one table, one buffer) is O(1) per
-   walk, not per hop, and is waived as such below.  The planned zero-alloc
+   check (Graph.has_edge), the degree/width lookups, and the loop key's
+   field-by-field comparison; a hop's loop-detection cost is one table
+   cell for its (node, header) state, with no key string rendered.  The
+   per-walk setup (six closures, five refs, one table) is O(1) per walk,
+   not per hop, and is waived as such below.  The planned zero-alloc
    walker (ROADMAP) will drop the trace and keep the same forward
    contract. *)
-let walk ?ttl ?name_bytes g ~forward ~src header =
+let walk ?ttl g ~forward ~src header =
   let n = Graph.n g in
   let ttl0 = match ttl with Some t -> t | None -> 4 * n in
   (* disco-lint: allow L7 per-walk trace accumulators, not per-hop *)
@@ -190,15 +203,13 @@ let walk ?ttl ?name_bytes g ~forward ~src header =
   let rewrites = ref 0 in
   (* disco-lint: allow L7 per-walk counters *)
   let bytes_max = ref 0 and bytes_total = ref 0 in
-  (* disco-lint: allow L7 per-walk loop-detection table and key buffer *)
-  let seen = Hashtbl.create 64 in
-  (* disco-lint: allow L7 per-walk loop-detection table and key buffer *)
-  let keybuf = Buffer.create 48 in
+  (* disco-lint: allow L7 per-walk loop-detection table: node -> headers seen there *)
+  let seen = Hashtbl.create 16 in
   (* disco-lint: allow L7 per-walk closure; the step record and cons are the trace product *)
   let log at action = steps := { at; action } :: !steps in
   (* disco-lint: allow L7 per-walk closure over the byte counters *)
   let account at h =
-    let b = byte_size ?name_bytes g ~at h in
+    let b = byte_size g ~at h in
     if b > !bytes_max then bytes_max := b;
     bytes_total := !bytes_total + b
   in
@@ -229,12 +240,11 @@ let walk ?ttl ?name_bytes g ~forward ~src header =
   let rec go u h ttl =
     if ttl = 0 then fail u Ttl_expired
     else begin
-      (* disco-lint: allow L7 loop-detection key: one short string per hop into the seen-table *)
-      let key = state_key_into keybuf u h in
-      if Hashtbl.mem seen key then fail u Loop_detected
+      (* disco-lint: allow L7 loop-detection lookup: the list of headers already seen at u *)
+      if seen_among h (Hashtbl.find_all seen u) then fail u Loop_detected
       else begin
         (* disco-lint: allow L7 seen-table insert: loop detection is the walker's contract *)
-        Hashtbl.add seen key ();
+        Hashtbl.add seen u h;
         (* disco-lint: allow L7 the scheme's forward is the function under test; its own hot body is checked separately *)
         match forward h ~at:u with
         | Deliver ->
@@ -299,33 +309,6 @@ let walk ?ttl ?name_bytes g ~forward ~src header =
    no closures, no tuples, no options, no boxed floats in any per-hop
    body.  Floats travel through the caller-owned [pfs] scratch (a flat
    float array, so loads and stores are unboxed). *)
-
-(* Phase as a small int, mirroring [phase] exactly (the [tried_proxy] bit
-   is the low bit of the seek/steer pair). *)
-let mode_seek = 0
-let mode_seek_tried = 1
-let mode_steer = 2
-let mode_steer_tried = 3
-let mode_carry = 4
-let mode_greedy = 5
-let mode_fallback = 6
-
-let mode_of_phase = function
-  | Seek { tried_proxy } -> if tried_proxy then mode_seek_tried else mode_seek
-  | Steer { tried_proxy } -> if tried_proxy then mode_steer_tried else mode_steer
-  | Carry -> mode_carry
-  | Greedy -> mode_greedy
-  | Fallback -> mode_fallback
-
-let phase_of_mode = function
-  | 0 -> Seek { tried_proxy = false }
-  | 1 -> Seek { tried_proxy = true }
-  | 2 -> Steer { tried_proxy = false }
-  | 3 -> Steer { tried_proxy = true }
-  | 4 -> Carry
-  | 5 -> Greedy
-  | 6 -> Fallback
-  | m -> invalid_arg (Printf.sprintf "Dataplane.phase_of_mode: %d" m)
 
 (* Verdicts of a compiled forward: a non-negative result is the next hop;
    the negatives are the terminal outcomes. *)
@@ -594,35 +577,6 @@ let decode_into g pkt buf ~pos ~src =
   pkt.phops <- 0;
   pkt.pdelivered <- false;
   pkt.pdrop <- drop_none
-
-(* Typed reconstruction, for the codec round-trip tests (setup-time). *)
-let decode_header g ~src buf ~pos =
-  let count = (get_u8 buf (pos + 31) lsl 8) lor get_u8 buf (pos + 32) in
-  let base = pos + header_fixed_bytes in
-  let rec labels_from bit u i =
-    if i >= count then []
-    else
-      let w = Bits.width_for (Graph.degree g u) in
-      let r = read_bits buf ~base bit w 0 in
-      let v = Graph.neighbor_at g u r in
-      v :: labels_from (bit + w) v (i + 1)
-  in
-  let labels = labels_from 0 src 0 in
-  let u32_64 p =
-    Int64.logor
-      (Int64.shift_left (Int64.of_int (get_u32 buf p)) 32)
-      (Int64.of_int (get_u32 buf (p + 4)))
-  in
-  {
-    dst = get_u32 buf (pos + 1);
-    phase = phase_of_mode (get_u8 buf pos);
-    labels;
-    waypoint = get_u32 buf (pos + 5) - 1;
-    anchor = get_u32 buf (pos + 9) - 1;
-    fbound = Int64.float_of_bits (u32_64 (pos + 13));
-    vbound = u32_64 (pos + 21);
-    extra_bytes = (get_u8 buf (pos + 29) lsl 8) lor get_u8 buf (pos + 30);
-  }
 
 (* Load the scratch packet straight from a typed header (no wire bytes);
    the differential uses it to cross-check encode/decode against direct

@@ -123,16 +123,15 @@ type trace = {
   header_bytes_total : int;  (** header bytes summed over every hop taken *)
 }
 
-val byte_size : ?name_bytes:int -> Graph.t -> at:int -> header -> int
+val byte_size : Graph.t -> at:int -> header -> int
 (** Wire size of the header as carried at node [at]: the destination's
-    self-certifying name ([name_bytes], default 20), the packed
+    self-certifying name (20 bytes), the packed
     neighbor-rank label bits of the remaining explicit route (§4.2), one
     node id each for waypoint and anchor when present, 4 bytes for a
     finite fallback bound, and the scheme's [extra_bytes]. *)
 
 val walk :
   ?ttl:int ->
-  ?name_bytes:int ->
   Graph.t ->
   forward:(header -> at:int -> decision) ->
   src:int ->
@@ -142,7 +141,11 @@ val walk :
     TTL (default [4 * n] decisions) expires, or the exact (node, header)
     state recurs — node revisits alone are legal (a Disco proxy leg may
     re-cross a node), but revisiting with an identical header can never
-    make progress under a deterministic forward function. *)
+    make progress under a deterministic forward function.  The loop key
+    is that typed state: the walk keeps, per node, the headers already
+    seen there and compares every field ([dst], phase including
+    [tried_proxy], labels, waypoint, anchor, both bounds, [extra_bytes]),
+    building no string per hop. *)
 
 val pp_trace : Format.formatter -> trace -> unit
 
@@ -166,9 +169,6 @@ val mode_carry : int
 val mode_greedy : int
 val mode_fallback : int
 val mode_of_phase : phase -> int
-
-val phase_of_mode : int -> phase
-(** @raise Invalid_argument outside [0..6]. *)
 
 (** {2 Verdicts} — a compiled forward returns the next hop ([>= 0]) or: *)
 
@@ -263,9 +263,6 @@ val encode_header : Graph.t -> src:int -> header -> Bytes.t -> pos:int -> int
 val decode_into : Graph.t -> packet -> Bytes.t -> pos:int -> src:int -> unit
 (** Rehydrate [pkt] from wire bytes (allocation-free); [src] resolves the
     neighbor-rank labels back to node ids and the walk counters reset. *)
-
-val decode_header : Graph.t -> src:int -> Bytes.t -> pos:int -> header
-(** Typed reconstruction of an encoded header (round-trip tests). *)
 
 val load_packet : packet -> header -> unit
 (** Load [pkt] straight from a typed header, skipping the wire. *)

@@ -8,13 +8,6 @@ let deliver_check (d : Disco.t) ~src ~dst =
   | Some p when src <> dst -> Some (List.rev p)
   | _ -> None
 
-(* The node's local route to [dst] if it stores one: landmark table or
-   vicinity; mirrors Nddisco.knows but is written from the node's view. *)
-let local_route (nd : Nddisco.t) u dst =
-  if nd.Nddisco.landmarks.Landmarks.is_landmark.(dst) then
-    Some (Landmark_trees.path_to nd.Nddisco.trees u ~lm:dst)
-  else Vicinity.path nd.Nddisco.vicinity u dst
-
 (* Rewrite at a node that holds [dst]'s address: the route to the
    destination's landmark from the node's own landmark table, then the
    explicit label route. *)
@@ -35,7 +28,7 @@ let address_route (nd : Nddisco.t) u dst =
 let carry_step (nd : Nddisco.t) (h : D.header) ~at:u =
   if u = h.D.dst then D.Deliver
   else
-    match local_route nd u h.D.dst with
+    match Nddisco.knows nd u h.D.dst with
     | Some (_ :: (_ :: _ as direct)) when direct <> h.D.labels ->
         D.carry_along h (u :: direct) D.Shortcut_divert
     | _ -> D.label_hop h
@@ -50,7 +43,7 @@ let rec seek_step (d : Disco.t) (h : D.header) ~at:u ~tried_proxy =
   let dst = h.D.dst in
   if u = dst then D.Deliver
   else
-    match local_route nd u dst with
+    match Nddisco.knows nd u dst with
     | Some (_ :: _ :: _ as p) -> D.carry_along h p D.Direct_route
     | _ ->
         if Groups.same_group d.Disco.groups u dst then
@@ -108,7 +101,7 @@ let steer_step (d : Disco.t) (h : D.header) ~at:u ~tried_proxy =
     match h.D.labels with
     | [] -> seek_step d { h with D.waypoint = -1 } ~at:u ~tried_proxy
     | _ :: _ -> (
-        match local_route nd u h.D.dst with
+        match Nddisco.knows nd u h.D.dst with
         | Some (_ :: _ :: _ as p) -> D.carry_along h p D.Shortcut_divert
         | _ -> D.label_hop h)
 
@@ -267,7 +260,7 @@ let vfill f pkt v w c =
   pkt.D.proute_pos <- 0;
   pkt.D.proute_end <- c
 
-(* The zero-alloc mirror of [local_route] + [carry_along]: load the node's
+(* The zero-alloc mirror of [Nddisco.knows] + [carry_along]: load the node's
    direct route to [dst] into the route window.  Returns the label count
    (>= 1, window loaded), 0 (no local route, window untouched), or -1
    where the typed path raises (broken or unprimed landmark tree). *)

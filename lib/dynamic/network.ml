@@ -5,6 +5,7 @@ module Hash_space = Disco_hash.Hash_space
 module Consistent_hash = Disco_hash.Consistent_hash
 module Params = Disco_core.Params
 module Name = Disco_core.Name
+module Dataplane = Disco_core.Dataplane
 
 type config = {
   hello_interval : float;
@@ -498,90 +499,92 @@ let set_estimate t v ~n =
 
 let run_until t time = Sim.run ~until:time t.sim
 
-(* --- data-plane walk ------------------------------------------------------ *)
+(* --- data plane ----------------------------------------------------------- *)
+
+(* Carry: deliver, divert onto this node's own route when it differs from
+   the labels left (to-destination shortcutting), else take the next
+   label. *)
+let carry nd (h : Dataplane.header) =
+  if nd.id = h.dst then Dataplane.Deliver
+  else
+    match Hashtbl.find_opt nd.routes h.dst with
+    | Some { r_path = _ :: direct as path; _ } when direct <> h.labels ->
+        Dataplane.carry_along h path Dataplane.Shortcut_divert
+    | _ -> Dataplane.label_hop h
+
+(* Ride to the address's landmark on this node's own route, then its
+   explicit route. *)
+let carry_address nd h { Msg.lm; lm_path } why =
+  let to_dst = List.tl lm_path in
+  if nd.id = lm then Dataplane.carry_along h (nd.id :: to_dst) why
+  else
+    match Hashtbl.find_opt nd.routes lm with
+    | Some { r_path; _ } -> Dataplane.carry_along h (r_path @ to_dst) why
+    | None -> Dataplane.Drop No_route
+
+(* Seek: a route to [dst], else a stored address, else head for the
+   resolution owner this node computes from its own known landmarks. *)
+let seek t nd (h : Dataplane.header) =
+  let dst = h.dst in
+  if nd.id = dst then Dataplane.Deliver
+  else
+    match Hashtbl.find_opt nd.routes dst with
+    | Some { r_path; _ } -> Dataplane.carry_along h r_path Dataplane.Direct_route
+    | None -> (
+        match Hashtbl.find_opt nd.addr_store dst with
+        | Some { a_addr; _ } -> carry_address nd h a_addr Dataplane.Group_store_hit
+        | None -> (
+            match resolution_owner t nd t.nodes.(dst).name with
+            | None -> Dataplane.Drop No_route
+            | Some owner when owner = nd.id -> (
+                match Hashtbl.find_opt nd.res_store dst with
+                | Some { a_addr; _ } ->
+                    carry_address nd h a_addr (Dataplane.Resolution_via owner)
+                | None -> Dataplane.Drop No_route)
+            | Some owner -> (
+                match next_hop_toward nd owner with
+                | Some hop ->
+                    Dataplane.Rewrite
+                      ( { h with phase = Steer { tried_proxy = false }; waypoint = owner },
+                        hop,
+                        Dataplane.Resolution_via owner )
+                | None -> Dataplane.Drop No_route)))
+
+(* Steer toward the owner in [waypoint], still carrying only the name; a
+   node that holds a route or an address for [dst], or the owner itself,
+   seeks afresh. *)
+let steer t nd (h : Dataplane.header) =
+  let owner = h.waypoint in
+  if Hashtbl.mem nd.routes h.dst || Hashtbl.mem nd.addr_store h.dst || nd.id = owner
+  then seek t nd h
+  else
+    match next_hop_toward nd owner with
+    | Some hop -> Dataplane.Forward hop
+    | None -> Dataplane.Drop No_route
+
+let forward t (h : Dataplane.header) ~at =
+  let nd = t.nodes.(at) in
+  let decision =
+    match h.phase with
+    | Seek _ -> seek t nd h
+    | Steer _ -> steer t nd h
+    | Carry -> carry nd h
+    | Greedy | Fallback -> Dataplane.Drop (Protocol_error "disco: foreign header phase")
+  in
+  match decision with
+  | (Dataplane.Forward next | Rewrite (_, next, _)) when not t.nodes.(next).active ->
+      Dataplane.Drop No_route
+  | d -> d
 
 let route t ~src ~dst =
-  let n = Graph.n t.graph in
-  let rec follow u rest acc ttl =
-    (* Follow a concrete path, with to-destination re-checks per hop. *)
-    if ttl = 0 then None
-    else if u = dst then Some (List.rev (u :: acc))
-    else begin
-      let nd = t.nodes.(u) in
-      if not nd.active then None
-      else begin
-        match Hashtbl.find_opt nd.routes dst with
-        | Some { r_path = _ :: direct; _ } when direct <> rest ->
-            step u direct acc ttl (* divert along our own route *)
-        | _ -> step u rest acc ttl
-      end
-    end
-  and step u rest acc ttl =
-    match rest with
-    | [] -> None
-    | next :: rest' ->
-        if not t.nodes.(next).active then None
-        else follow next rest' (u :: acc) (ttl - 1)
-  and seek u acc ttl =
-    if ttl = 0 then None
-    else if u = dst then Some (List.rev (u :: acc))
-    else begin
-      let nd = t.nodes.(u) in
-      if not nd.active then None
-      else begin
-        match Hashtbl.find_opt nd.routes dst with
-        | Some { r_path = _ :: rest; _ } -> step u rest acc ttl
-        | _ -> (
-            match Hashtbl.find_opt nd.addr_store dst with
-            | Some { a_addr = { Msg.lm; lm_path }; _ } -> carry_address u lm lm_path acc ttl
-            | None -> (
-                (* Resolution: head for the owner landmark; it knows. *)
-                match resolution_owner t nd t.nodes.(dst).name with
-                | None -> None
-                | Some owner ->
-                    if owner = u then begin
-                      match Hashtbl.find_opt nd.res_store dst with
-                      | Some { a_addr = { Msg.lm; lm_path }; _ } ->
-                          carry_address u lm lm_path acc ttl
-                      | None -> None
-                    end
-                    else begin
-                      match next_hop_toward nd owner with
-                      | Some hop when t.nodes.(hop).active ->
-                          seek_toward hop owner (u :: acc) (ttl - 1)
-                      | _ -> None
-                    end))
-      end
-    end
-  and seek_toward u owner acc ttl =
-    (* Riding hop-by-hop toward the resolution owner, still only carrying
-       the name; any node that knows better answers sooner. *)
-    if ttl = 0 then None
-    else begin
-      let nd = t.nodes.(u) in
-      if not nd.active then None
-      else if Hashtbl.mem nd.routes dst || Hashtbl.mem nd.addr_store dst || u = owner
-      then seek u acc ttl
-      else begin
-        match next_hop_toward nd owner with
-        | Some hop when t.nodes.(hop).active -> seek_toward hop owner (u :: acc) (ttl - 1)
-        | _ -> None
-      end
-    end
-  and carry_address u lm lm_path acc ttl =
-    if u = lm then follow u (List.tl lm_path) acc ttl
-    else begin
-      let nd = t.nodes.(u) in
-      match Hashtbl.find_opt nd.routes lm with
-      | Some { r_path = _ :: to_lm; _ } ->
-          (* Ride to the landmark, then the explicit route. *)
-          follow u (to_lm @ List.tl lm_path) acc ttl
-      | _ -> None
-    end
-  in
   if src = dst then Some [ src ]
   else if not (t.nodes.(src).active && t.nodes.(dst).active) then None
-  else seek src [] (4 * n)
+  else
+    let trace =
+      Dataplane.walk ~ttl:(4 * Graph.n t.graph) t.graph ~forward:(forward t) ~src
+        (Dataplane.plain ~dst (Seek { tried_proxy = false }))
+    in
+    if trace.delivered then Some trace.path else None
 
 let reachable_fraction t ~pairs =
   match pairs with

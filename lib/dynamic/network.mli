@@ -20,8 +20,9 @@
       (externally supplied) estimate of n changes.
 
     The driver activates/deactivates nodes and advances time; routing
-    queries walk the packet hop by hop using only per-node state, like
-    {!Disco_core.Forwarding}. *)
+    queries walk the packet hop by hop through the shared
+    {!Disco_core.Dataplane.walk}, one {!forward} decision per node, using
+    only that node's state, like {!Disco_core.Forwarding}. *)
 
 type config = {
   hello_interval : float;
@@ -76,11 +77,30 @@ val route_table_size : t -> int -> int
 val address_of : t -> int -> Msg.address option
 (** The node's current self-computed address. *)
 
+val forward :
+  t -> Disco_core.Dataplane.header -> at:int -> Disco_core.Dataplane.decision
+(** One node's decision from its current protocol state, in the
+    Seek/Steer/Carry vocabulary:
+    - {!Disco_core.Dataplane.Seek} (only [dst]'s flat name): carry along
+      the node's route to [dst], else along a stored group address (via
+      the route to its landmark), else steer toward the resolution owner
+      the node computes from its own known landmarks; the owner itself
+      carries along its resolution entry;
+    - {!Disco_core.Dataplane.Steer} (toward the owner in [waypoint]): seek
+      afresh at a node that holds a route or an address for [dst], or at
+      the owner; otherwise the next hop toward the owner, even at [dst];
+    - {!Disco_core.Dataplane.Carry}: deliver at [dst], divert onto the
+      node's own route to [dst] when it differs from the labels left, else
+      take the next label.
+
+    A hop into an inactive node is [Drop No_route]. *)
+
 val route : t -> src:int -> dst:int -> int list option
-(** Walk a packet from [src] toward [dst]'s flat name using only per-node
-    protocol state (tables, address stores, resolution), with
-    to-destination shortcutting. [None] if undeliverable with current
-    state. *)
+(** Walk a packet from [src] toward [dst]'s flat name: {!forward} under
+    the shared {!Disco_core.Dataplane.walk}, so a 4n-decision TTL, loop
+    detection, and hops only over real links.  [Some [src]] when
+    [src = dst]; [None] when either endpoint is inactive (both checked
+    before any walk) or the walk does not deliver with current state. *)
 
 val reachable_fraction : t -> pairs:(int * int) list -> float
 (** Fraction of the given (active) pairs the network can currently

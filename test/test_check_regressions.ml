@@ -77,17 +77,17 @@ let test_miscalibrated_bound_is_convicted () =
 
 (* --- fast≡typed differential regressions ---------------------------------
 
-   The fastpath differential (Spec.fastpath) re-routes every sampled pair
-   through the wire codec and the compiled forward and demands the typed
-   walk's exact hop sequence and verdict.  Pinned both ways, like the S4
+   The fastpath differential (run for every scheme) re-routes every
+   sampled pair through the wire codec and the compiled forward and
+   demands the typed walk's exact hop sequence and verdict.  Pinned both ways, like the S4
    bound above: scenarios that exercise the differential on the real
    registry stay green, and a router whose compiled face diverges from
    its typed forward is convicted, shrunk, and the shrunk scenario is
    pinned by its exact textual form. *)
 
-(* Scenarios replayed on the full registry; all specs have
-   [fastpath = true], so each of these runs the differential across all
-   eight schemes (families chosen to reach seek/steer/resolution modes). *)
+(* Scenarios replayed on the full registry, so each of these runs the
+   differential across all eight schemes (families chosen to reach
+   seek/steer/resolution modes). *)
 let pinned_fastpath =
   [
     "seed=1150299863866387076,family=gnm,n=16,pairs=16,workload=uniform,churn=0";

@@ -39,6 +39,51 @@ let test_loop_detected () =
   Alcotest.(check bool) "loop detected" true (tr.D.dropped = Some D.Loop_detected);
   Alcotest.(check int) "cut at first state recurrence" 2 tr.D.hops
 
+(* The loop key covers every header field: a ping-pong whose forward
+   changes only one field on every hop never repeats a (node, header)
+   state, so it must run to its TTL.  The phase sequence puts states that
+   differ only in [tried_proxy] at the same node two decisions apart. *)
+let test_loop_key_covers_every_field () =
+  let g = line 3 in
+  let phases =
+    [|
+      D.Seek { tried_proxy = false };
+      D.Steer { tried_proxy = false };
+      D.Seek { tried_proxy = true };
+      D.Steer { tried_proxy = true };
+      D.Carry;
+      D.Greedy;
+      D.Fallback;
+    |]
+  in
+  let ttl = Array.length phases in
+  let fields : (string * (int -> D.header -> D.header)) list =
+    [
+      ("dst", fun k h -> { h with D.dst = 3 + k });
+      ("phase", fun k h -> { h with D.phase = phases.(k mod ttl) });
+      ("labels", fun k h -> { h with D.labels = [ k mod 3; k / 3 ] });
+      ("waypoint", fun k h -> { h with D.waypoint = k });
+      ("anchor", fun k h -> { h with D.anchor = k });
+      ("fbound", fun k h -> { h with D.fbound = float_of_int k });
+      ("vbound", fun k h -> { h with D.vbound = Int64.of_int k });
+      ("extra_bytes", fun k h -> { h with D.extra_bytes = k });
+    ]
+  in
+  List.iter
+    (fun (field, set) ->
+      let decisions = ref 0 in
+      let forward (h : D.header) ~at =
+        incr decisions;
+        let next = if at = 0 then 1 else 0 in
+        D.Rewrite (set !decisions h, next, D.Hop next)
+      in
+      let tr = D.walk ~ttl g ~forward ~src:0 (set 0 (D.plain ~dst:2 D.Carry)) in
+      if tr.D.dropped <> Some D.Ttl_expired || tr.D.hops <> ttl then
+        Alcotest.failf "changing only %s: walk ended after %d hops (%s), not at the ttl"
+          field tr.D.hops
+          (match tr.D.dropped with Some r -> D.reason_to_string r | None -> "delivered"))
+    fields
+
 let test_rewrite_at_proxy () =
   let g = line 4 in
   (* Steer to waypoint 2 on explicit labels; the waypoint rewrites the
@@ -102,8 +147,6 @@ let test_byte_accounting () =
   (* A plain header is just the self-certifying name. *)
   let plain = D.plain ~dst:3 D.Carry in
   Alcotest.(check int) "plain = name bytes" 20 (D.byte_size g ~at:0 plain);
-  Alcotest.(check int) "name_bytes overridable" 8
-    (D.byte_size ~name_bytes:8 g ~at:0 plain);
   (* Every optional field strictly grows the header. *)
   let grows label h =
     if D.byte_size g ~at:0 h <= D.byte_size g ~at:0 plain then
@@ -225,6 +268,8 @@ let suite =
   [
     Alcotest.test_case "ttl exhaustion" `Quick test_ttl_exhaustion;
     Alcotest.test_case "loop detected" `Quick test_loop_detected;
+    Alcotest.test_case "loop key covers every header field" `Quick
+      test_loop_key_covers_every_field;
     Alcotest.test_case "rewrite at proxy" `Quick test_rewrite_at_proxy;
     Alcotest.test_case "non-neighbor hop rejected" `Quick
       test_non_neighbor_is_protocol_error;

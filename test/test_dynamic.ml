@@ -7,6 +7,7 @@ module Graph = Disco_graph.Graph
 module Dijkstra = Disco_graph.Dijkstra
 module Rng = Disco_util.Rng
 module Network = Disco_dynamic.Network
+module D = Disco_core.Dataplane
 
 let make ?(n = 64) ?(seed = 3) () =
   let rng = Rng.create seed in
@@ -248,6 +249,80 @@ let prop_survives_one_failure =
       in
       Network.reachable_fraction net ~pairs = 1.0)
 
+(* The shared walker over [Network.forward], against [Network.route],
+   through cold start, a 5% fail-stop and its repair: the walk never
+   breaks the data-plane contract, and it delivers exactly when [route]
+   does, along the same path.  [route]'s own endpoint prechecks hold at
+   every sample too, and a delivered path crosses only live nodes, also
+   right after the failure, while tables still point through the dead. *)
+let test_walk_matches_route () =
+  List.iter
+    (fun n ->
+      let graph, net = make ~n ~seed:23 () in
+      let rng = Rng.create (n + 29) in
+      let check_sample () =
+        for _ = 1 to 40 do
+          let s = Rng.int rng n and d = Rng.int rng n in
+          let routed = Network.route net ~src:s ~dst:d in
+          if s = d then
+            Alcotest.(check (option (list int))) "src = dst" (Some [ s ]) routed
+          else if not (Network.is_active net s && Network.is_active net d) then
+            Alcotest.(check (option (list int))) "inactive endpoint" None routed
+          else begin
+            let tr =
+              D.walk ~ttl:(4 * n) graph ~forward:(Network.forward net) ~src:s
+                (D.plain ~dst:d (D.Seek { tried_proxy = false }))
+            in
+            let what = Printf.sprintf "n=%d t=%.0f %d -> %d" n (Network.now net) s d in
+            (match tr.D.dropped with
+            | Some (D.Protocol_error e) -> Alcotest.failf "%s: protocol error: %s" what e
+            | _ -> ());
+            let walked = if tr.D.delivered then Some tr.D.path else None in
+            Alcotest.(check (option (list int))) what routed walked;
+            Option.iter
+              (fun p ->
+                if not (List.for_all (Network.is_active net) p) then
+                  Alcotest.failf "%s crosses a failed node" what)
+              routed
+          end
+        done
+      in
+      Network.activate_all net;
+      for step = 1 to 10 do
+        converge net (40.0 *. float_of_int step);
+        check_sample ()
+      done;
+      Array.iter (Network.deactivate net)
+        (Rng.sample_without_replacement rng (n / 20) n);
+      for step = 0 to 9 do
+        converge net (400.0 +. (60.0 *. float_of_int step));
+        check_sample ()
+      done)
+    [ 64; 128 ]
+
+(* Until the first address timer fires (2 s after activation) no node
+   stores an address, not even its own.  A node steering toward a
+   resolution owner re-seeks only with a route or an address for the
+   destination, or as the owner, so at the destination itself it still
+   forwards toward the owner. *)
+let test_steer_passes_through_dst () =
+  let graph, net = make ~seed:25 () in
+  Network.activate_all net;
+  converge net 1.9;
+  let forwarded = ref 0 in
+  for v = 0 to Graph.n graph - 1 do
+    Graph.iter_neighbors graph v (fun owner _ ->
+        let h = { (D.plain ~dst:v (D.Steer { tried_proxy = false })) with D.waypoint = owner } in
+        match Network.forward net h ~at:v with
+        | D.Forward next when next = owner -> incr forwarded
+        | D.Drop D.No_route -> () (* no route to the owner yet *)
+        | D.Deliver -> Alcotest.failf "node %d re-sought and delivered to itself" v
+        | D.Forward next | D.Rewrite (_, next, _) ->
+            Alcotest.failf "node %d steering toward %d went to %d" v owner next
+        | D.Drop r -> Alcotest.failf "node %d: %s" v (D.reason_to_string r))
+  done;
+  Alcotest.(check bool) "some destination forwards toward its owner" true (!forwarded > 0)
+
 let suite =
   [
     Alcotest.test_case "cold start reaches all pairs" `Slow test_cold_start_full_reachability;
@@ -262,4 +337,8 @@ let suite =
     Alcotest.test_case "landmark failure" `Slow test_landmark_failure;
     Alcotest.test_case "estimate hysteresis" `Slow test_estimate_hysteresis;
     Alcotest.test_case "messages flow" `Quick test_messages_flow;
+    Alcotest.test_case "walk over forward = route under churn" `Slow
+      test_walk_matches_route;
+    Alcotest.test_case "steering passes through its destination" `Quick
+      test_steer_passes_through_dst;
   ]
