@@ -10,7 +10,7 @@ type t = {
   landmarks : Core.Landmarks.t;
   trees : Core.Landmark_trees.t;
   ring : Disco_hash.Consistent_hash.t;
-  ball_cache : (int, ball) Disco_util.Pool.Memo.t;
+  ball_cache : (int, ball, Dijkstra.workspace) Disco_util.Pool.Memo.t;
 }
 
 let build ?(params = Core.Params.default) ?names ?landmark_ids ~rng graph =
@@ -34,7 +34,10 @@ let build ?(params = Core.Params.default) ?names ?landmark_ids ~rng graph =
     landmarks;
     trees = Core.Landmark_trees.create graph;
     ring;
-    ball_cache = Disco_util.Pool.Memo.create ~size:256 ();
+    ball_cache =
+      Disco_util.Pool.Memo.create ~size:256
+        ~scratch:(fun () -> Dijkstra.make_workspace graph)
+        ();
   }
 
 let graph t = t.graph
@@ -60,10 +63,9 @@ let ball_mem b x = ball_idx b.bm x 0 (Array.length b.bm - 1) >= 0
    compiled fast path read. *)
 let ball t target =
   (* Filled lazily from route calls, possibly inside pool tasks: the memo
-     serializes the table, and each fill gets its own scratch workspace
-     (results are copied out, so the cached ball is workspace-independent). *)
-  Disco_util.Pool.Memo.find_or_add t.ball_cache target (fun () ->
-      let ws = Dijkstra.make_workspace t.graph in
+     serializes the table and lends each fill a workspace (results are
+     copied out, so the cached ball is workspace-independent). *)
+  Disco_util.Pool.Memo.find_or_add t.ball_cache target (fun ws ->
       let run = Dijkstra.within_radius ~ws t.graph target (radius t target) in
       let k = Array.length run.Dijkstra.order in
       let idx = Array.init k (fun i -> i) in

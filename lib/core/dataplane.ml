@@ -303,7 +303,7 @@ let walk ?ttl g ~forward ~src header =
    hop loop is pure array indexing.  The typed {!walk} above stays the
    oracle — disco-check's fast≡typed differential holds the two walkers to
    the same hop sequence and verdict — while this path answers the
-   throughput question ({!fast_walk} plus [bench --figure throughput]).
+   throughput question ({!fast_walk}, which perfbench times end to end).
 
    Everything below the setup-time encoders is on the L7 hot manifest:
    no closures, no tuples, no options, no boxed floats in any per-hop

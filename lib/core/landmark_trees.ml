@@ -8,19 +8,20 @@ module Pool = Disco_util.Pool
    router — it is what makes routes on converged state cheap — so it must
    tolerate concurrent fills from pool tasks: [Pool.Memo] serializes table
    access, and the SSSP itself is a deterministic function of the root, so
-   a lost fill race converges on an equal tree. Each fill runs on its own
-   workspace; a shared scratch workspace here would race. *)
+   a lost fill race converges on an equal tree. Each fill runs on a
+   workspace the memo lends it, never on one another fill is using. *)
 
 type t = {
   graph : Graph.t;
-  cache : (int, Dijkstra.sssp) Pool.Memo.t;
+  cache : (int, Dijkstra.sssp, Dijkstra.workspace) Pool.Memo.t;
 }
 
-let create graph = { graph; cache = Pool.Memo.create () }
+let create graph =
+  let scratch () = Dijkstra.make_workspace graph in
+  { graph; cache = Pool.Memo.create ~scratch () }
 
 let tree t lm =
-  Pool.Memo.find_or_add t.cache lm (fun () ->
-      Dijkstra.sssp ~ws:(Dijkstra.make_workspace t.graph) t.graph lm)
+  Pool.Memo.find_or_add t.cache lm (fun ws -> Dijkstra.sssp ~ws t.graph lm)
 
 let dist t ~lm v = (tree t lm).Dijkstra.dist.(v)
 

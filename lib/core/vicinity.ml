@@ -11,23 +11,25 @@ type view = {
 type t = {
   graph : Graph.t;
   k : int;
-  cache : (int, view) Disco_util.Pool.Memo.t;
+  cache : (int, view, Dijkstra.workspace) Disco_util.Pool.Memo.t;
   mutable slots : view array option;
       (* direct-index face over the same view records, for compiled plans *)
 }
 
 let create graph ~k =
   if k < 0 then invalid_arg "Vicinity.create: k < 0";
-  { graph; k; cache = Disco_util.Pool.Memo.create ~size:256 (); slots = None }
+  let scratch () = Dijkstra.make_workspace graph in
+  let cache = Disco_util.Pool.Memo.create ~size:256 ~scratch () in
+  { graph; k; cache; slots = None }
 
 let k t = t.k
 
-(* Each fill runs on its own workspace and copies the truncated run into
-   fresh arrays, so cached views are workspace-independent; the memo makes
-   the demand fill safe from pool tasks (every route consults V(v)). *)
-let compute t v =
+(* Each fill runs on the workspace the memo lends it and copies the
+   truncated run into fresh arrays, so cached views are
+   workspace-independent; the memo makes the demand fill safe from pool
+   tasks (every route consults V(v)). *)
+let compute t v ws =
   (* k_closest includes the source; ask for one more and drop it. *)
-  let ws = Dijkstra.make_workspace t.graph in
   let run = Dijkstra.k_closest ~ws t.graph v (t.k + 1) in
   let total = Array.length run.order in
   let size = max 0 (total - 1) in
@@ -56,7 +58,8 @@ let compute t v =
     radius = !radius;
   }
 
-let view t v = Disco_util.Pool.Memo.find_or_add t.cache v (fun () -> compute t v)
+let view t v =
+  Disco_util.Pool.Memo.find_or_add t.cache v (fun ws -> compute t v ws)
 
 let find_index vw w =
   let lo = ref 0 and hi = ref (Array.length vw.members - 1) in

@@ -7,11 +7,16 @@
 
     A {!workspace} holds the scratch arrays (distances, flags, a heap) so
     running Dijkstra from all n sources costs O(settled) resets per run
-    instead of O(n). Workspaces are single-threaded; create one per domain. *)
+    instead of O(n). A workspace holds one run at a time, so it must never
+    be shared by code running at once: a {!Disco_util.Pool.Memo} lends one
+    to each concurrent fill, and other callers keep one per task. *)
 
 type workspace
 
 val make_workspace : Graph.t -> workspace
+(** Scratch for runs on the given graph, or on any graph with as many
+    nodes. Making one costs O(n + m): it also reads the graph's lightest
+    edge weight for {!k_closest}. *)
 
 type sssp = { dist : float array; parent : int array }
 (** Full single-source result: [dist.(v) = infinity] and [parent.(v) = -1]
@@ -37,8 +42,18 @@ type truncated = {
 
 val k_closest : ?ws:workspace -> Graph.t -> int -> int -> truncated
 (** [k_closest g src k] settles the [min k n] nodes closest to [src]
-    (including [src]). Distance ties at the boundary are broken by
-    settle order, deterministically. *)
+    (including [src]). Distance ties are broken by push order: among
+    nodes at equal distance, the one whose final distance was pushed
+    first settles first, so ties at the boundary resolve
+    deterministically.
+
+    The search stops early without changing that result. Once [min k n]
+    distinct nodes have been reached, the largest distance B at which any
+    of them was first reached bounds the k-th settled distance. From then
+    on the search skips every push beyond B, and the neighbour scan of
+    any settled node whose distance plus the graph's lightest edge is
+    beyond B. Pushes at exactly B still happen. The order, distances and
+    parents are those of the unbounded search. *)
 
 val within_radius : ?ws:workspace -> Graph.t -> int -> float -> truncated
 (** [within_radius g src r] settles every node at distance < [r] — the

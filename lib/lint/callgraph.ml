@@ -111,8 +111,20 @@ let has_suffix ~suffix s =
   let n = String.length s and m = String.length suffix in
   n >= m && String.equal (String.sub s (n - m) m) suffix
 
+(* A Dijkstra workspace is scratch for one run at a time; its type is
+   abstract, so it is named here rather than found by its fields. *)
 let mutable_type_heads =
-  [ "ref"; "array"; "bytes"; "Hashtbl.t"; "Buffer.t"; "Queue.t"; "Stack.t"; "Atomic.t" ]
+  [
+    "ref";
+    "array";
+    "bytes";
+    "Hashtbl.t";
+    "Buffer.t";
+    "Queue.t";
+    "Stack.t";
+    "Atomic.t";
+    "Dijkstra.workspace";
+  ]
 
 let mutable_makers =
   [
@@ -127,7 +139,17 @@ let mutable_makers =
     "Queue.create";
     "Stack.create";
     "Atomic.make";
+    "Dijkstra.make_workspace";
   ]
+
+(* A qualified entry also matches under a library prefix
+   ("Disco_graph.Dijkstra.workspace"). *)
+let names_one_of names s =
+  List.exists
+    (fun m ->
+      String.equal m s
+      || (String.contains m '.' && has_suffix ~suffix:("." ^ m) s))
+    names
 
 (* Name as written at an application head, before resolution; used only for
    the structural mutable-global test where scope is irrelevant. *)
@@ -165,11 +187,11 @@ let global_of_binding ~key vb =
     if memo then Some "Pool.Memo.t"
     else
       match head with
-      | Some h when List.mem (Hot_manifest.key h) mutable_type_heads ->
+      | Some h when names_one_of mutable_type_heads (Hot_manifest.key h) ->
           Some (Hot_manifest.key h)
       | _ -> (
           match maker with
-          | Some m when List.mem m mutable_makers -> Some m
+          | Some m when names_one_of mutable_makers m -> Some m
           | _ ->
               if mutable_record_literal vb.vb_expr then
                 Some "record with mutable fields"

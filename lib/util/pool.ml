@@ -77,14 +77,44 @@ let with_pool ~jobs f =
 (* Shared lazy caches (e.g. landmark trees) are filled from inside pool
    tasks, so their fill path needs the same mutex discipline as the queue;
    exposing the memo from here keeps every lock in the tree behind this
-   module (lint L6). The lock guards table lookups/inserts only — compute
-   runs unlocked, and a lost race converges on the winner's value, which
-   is sound because compute is required to be deterministic in the key. *)
+   module (lint L6). The lock guards table lookups/inserts and the free
+   list of scratch values only — compute runs unlocked, and a lost race
+   converges on the winner's value, which is sound because compute is
+   required to be deterministic in the key. A fill borrows a free scratch
+   value and makes one only when every value is lent out, so the memo
+   never makes more values than there were fills running at once. *)
 module Memo = struct
-  type ('k, 'v) t = { lock : Mutex.t; table : ('k, 'v) Hashtbl.t }
+  type ('k, 'v, 's) t = {
+    lock : Mutex.t;
+    table : ('k, 'v) Hashtbl.t;
+    make_scratch : unit -> 's;
+    mutable free : 's list;
+  }
 
-  let create ?(size = 64) () =
-    { lock = Mutex.create (); table = Hashtbl.create size }
+  let create ?(size = 64) ~scratch () =
+    {
+      lock = Mutex.create ();
+      table = Hashtbl.create size;
+      make_scratch = scratch;
+      free = [];
+    }
+
+  let borrow m =
+    Mutex.lock m.lock;
+    let lent =
+      match m.free with
+      | s :: rest ->
+          m.free <- rest;
+          Some s
+      | [] -> None
+    in
+    Mutex.unlock m.lock;
+    match lent with Some s -> s | None -> m.make_scratch ()
+
+  let give_back m s =
+    Mutex.lock m.lock;
+    m.free <- s :: m.free;
+    Mutex.unlock m.lock
 
   let find_or_add m key compute =
     Mutex.lock m.lock;
@@ -93,7 +123,10 @@ module Memo = struct
     match hit with
     | Some v -> v
     | None ->
-        let v = compute () in
+        let s = borrow m in
+        let v =
+          Fun.protect ~finally:(fun () -> give_back m s) (fun () -> compute s)
+        in
         Mutex.lock m.lock;
         let v =
           match Hashtbl.find_opt m.table key with

@@ -58,18 +58,33 @@ val with_pool : jobs:int -> (t -> 'b) -> 'b
     concurrently, both compute and the first insertion wins, so results
     stay independent of scheduling only because the loser's value is
     equal. The lock is never held while computing, so a slow fill cannot
-    stall readers of other keys. *)
+    stall readers of other keys.
+
+    Each fill runs on a scratch value the memo lends it (a Dijkstra
+    workspace, for every memo in the tree). A scratch value must carry
+    nothing from one fill to the next that changes the result: the value
+    a fill computes may depend on its key only, never on which fills ran
+    on the same scratch before it. Dijkstra workspaces meet this because
+    each run starts a new stamp, which resets every slot it reads. *)
 module Memo : sig
-  type ('k, 'v) t
+  type ('k, 'v, 's) t
+  (** Keys ['k], cached values ['v], scratch values ['s]. *)
 
-  val create : ?size:int -> unit -> ('k, 'v) t
+  val create : ?size:int -> scratch:(unit -> 's) -> unit -> ('k, 'v, 's) t
+  (** [create ~scratch ()] is an empty memo whose fills run on values
+      made by [scratch]. Nothing is made until the first miss. *)
 
-  val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+  val find_or_add : ('k, 'v, 's) t -> 'k -> ('s -> 'v) -> 'v
   (** [find_or_add t k compute] returns the cached value for [k], filling
-      it with [compute ()] on a miss. [compute] may be called more than
-      once across domains for the same key (first insert wins); it is
-      called without the table lock held. *)
+      it with [compute s] on a miss. A hit takes no scratch. On a miss the
+      fill borrows a free scratch value [s], and makes a new one only when
+      all are lent out: at most one per domain filling concurrently, and
+      exactly one when all fills run on one domain. [s] goes back to the
+      memo when [compute] returns or raises; a raising fill caches
+      nothing. [compute] may be called more than once across domains for
+      the same key (first insert wins); it is called without the table
+      lock held. *)
 
-  val length : ('k, 'v) t -> int
+  val length : ('k, 'v, 's) t -> int
   (** Number of distinct keys cached so far. *)
 end

@@ -210,6 +210,98 @@ let prop_parents_form_shortest_paths =
       done;
       !ok)
 
+(* The truncated search, written plainly and with no bound: the frontier
+   is ordered by (distance, push order), a stale entry is skipped when it
+   comes out, and a node's distance and parent change only on a strict
+   improvement. It settles the min k n closest nodes. *)
+let plain_k_closest g src k =
+  let n = Graph.n g in
+  let dist = Array.make n infinity and par = Array.make n (-1) in
+  let settled = Array.make n false in
+  let frontier = ref [] and pushes = ref 0 in
+  let push d v =
+    frontier := (d, !pushes, v) :: !frontier;
+    incr pushes
+  in
+  let earlier (d, i, _) (d', i', _) = d < d' || (d = d' && i < i') in
+  dist.(src) <- 0.0;
+  push 0.0 src;
+  let order = ref [] in
+  while List.length !order < min k n && !frontier <> [] do
+    let first =
+      List.fold_left
+        (fun a e -> if earlier e a then e else a)
+        (List.hd !frontier) !frontier
+    in
+    frontier := List.filter (fun e -> e != first) !frontier;
+    let d, _, u = first in
+    if not settled.(u) then begin
+      settled.(u) <- true;
+      order := u :: !order;
+      Graph.iter_neighbors g u (fun v w ->
+          let nd = d +. w in
+          if (not settled.(v)) && nd < dist.(v) then begin
+            dist.(v) <- nd;
+            par.(v) <- u;
+            push nd v
+          end)
+    end
+  done;
+  let order = Array.of_list (List.rev !order) in
+  {
+    Dijkstra.source = src;
+    order;
+    tdist = Array.map (fun v -> dist.(v)) order;
+    tparent = Array.map (fun v -> par.(v)) order;
+  }
+
+(* Small graphs in one to three pieces, with unit weights or weights
+   drawn from {0, 1, 2, 3}. Graph.Builder rejects w <= 0, so weight 0
+   stands for 2^-54: below half an ulp of 1.0, it vanishes when added to
+   any distance >= 1, which makes the same float ties as a zero-weight
+   edge would. *)
+let tie_graph seed =
+  let rng = Disco_util.Rng.create seed in
+  let n = 1 + Disco_util.Rng.int rng 24 in
+  let pieces = 1 + Disco_util.Rng.int rng 3 in
+  let unit = Disco_util.Rng.bool rng in
+  let density = 0.1 +. Disco_util.Rng.float rng 0.4 in
+  let b = Graph.Builder.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if u mod pieces = v mod pieces && Disco_util.Rng.float rng 1.0 < density
+      then
+        let w =
+          if unit then 1.0
+          else
+            match Disco_util.Rng.int rng 4 with
+            | 0 -> Float.ldexp 1.0 (-54)
+            | c -> float_of_int c
+        in
+        Graph.Builder.add_edge b u v w
+    done
+  done;
+  Graph.Builder.build b
+
+let prop_k_closest_exact =
+  Helpers.qtest "k_closest = plain truncated Dijkstra, array by array"
+    ~count:300 Helpers.seed_arb (fun seed ->
+      let g = tie_graph seed in
+      let n = Graph.n g in
+      let ws = Dijkstra.make_workspace g in
+      let bits a = Array.map Int64.bits_of_float a in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun src ->
+              let got = Dijkstra.k_closest ~ws g src k in
+              let want = plain_k_closest g src k in
+              got.Dijkstra.order = want.Dijkstra.order
+              && bits got.Dijkstra.tdist = bits want.Dijkstra.tdist
+              && got.Dijkstra.tparent = want.Dijkstra.tparent)
+            (List.init n Fun.id))
+        [ 0; 1; 2; n / 2; n; n + 3 ])
+
 let suite =
   [
     Alcotest.test_case "sssp diamond" `Quick test_sssp_diamond;
@@ -226,6 +318,7 @@ let suite =
     prop_matches_floyd;
     prop_weighted_matches_floyd;
     prop_k_closest_agrees_with_sssp;
+    prop_k_closest_exact;
     prop_within_radius_agrees_with_sssp;
     prop_k_closest_weighted_parents;
     prop_parents_form_shortest_paths;

@@ -49,7 +49,7 @@ let transitive_names_chain () =
 
 let every_positive_is_error () =
   let s = Lazy.force summary in
-  Alcotest.(check bool) "positives reported" true (s.Driver.errors >= 4);
+  Alcotest.(check bool) "positives reported" true (s.Driver.errors >= 5);
   Alcotest.(check int) "nothing demoted" 0 s.Driver.warnings
 
 let manifest_pins_registry () =
@@ -95,6 +95,7 @@ let suite =
     test "L9 quiet when wrapped in try" (quiet "l9_neg.ml");
     test "L8 fires on task-reachable mutable state" (fires "L8" "l8_pos.ml");
     test "L8 quiet under Pool.Memo / task-local state" (quiet "l8_neg.ml");
+    test "L8 fires on a workspace shared by tasks" (fires "L8" "l8_ws_pos.ml");
     test "positives are errors" every_positive_is_error;
     test "manifest pins the router registry" manifest_pins_registry;
     test "manifest pins the fast registry" manifest_pins_fast_registry;
