@@ -94,12 +94,6 @@ let delta t ~components ~node ~dst =
   done;
   !acc
 
-type mode = Greedy | Fallback of float
-(* BVR's fallback discipline: once stuck, ride the closest beacon's tree
-   and return to greedy only on strict improvement over the distance at
-   which fallback was entered — otherwise greedy would re-descend into the
-   same local minimum. *)
-
 let best_neighbor t ~components u ~dst =
   let best = ref None and best_d = ref infinity in
   Graph.iter_neighbors t.graph u (fun v _ ->
@@ -110,51 +104,20 @@ let best_neighbor t ~components u ~dst =
       end);
   !best
 
-let route t ~src ~dst =
-  if src = dst then Some [ src ]
-  else begin
-    let n = Graph.n t.graph in
-    let components = closest_beacons t dst in
-    let b = components.(0) in
-    let beacon = t.beacons.(b) in
-    let best_neighbor u = best_neighbor t ~components u ~dst in
-    let rec step u acc ttl mode =
-      if u = dst then Some (List.rev (u :: acc))
-      else if ttl = 0 then None
-      else begin
-        let here = delta t ~components ~node:u ~dst in
-        match (mode, best_neighbor u) with
-        | Greedy, Some (v, d) when d < here -. 1e-12 ->
-            step v (u :: acc) (ttl - 1) Greedy
-        | Greedy, _ ->
-            if u = beacon then None (* stuck at the beacon: BVR would flood *)
-            else step u acc ttl (Fallback here)
-        | Fallback bound, Some (v, d) when d < bound -. 1e-12 ->
-            step v (u :: acc) (ttl - 1) Greedy
-        | Fallback _, _ -> (
-            if u = beacon then None
-            else
-              match t.parent.((b * n) + u) with
-              | -1 -> None
-              | p -> step p (u :: acc) (ttl - 1) mode)
-      end
-    in
-    step src [] (4 * n) Greedy
-  end
-
 module D = Disco_core.Dataplane
 
 let ttl_factor = 4
 
-(* Per-hop BVR forwarding from the carried coordinate. One decision per
-   hop: [route]'s same-node Greedy -> Fallback mode switch compresses into
-   the single [Fallback_descent] rewrite (its re-check of the improving
-   neighbor against the just-recorded bound fails by construction, so both
-   machines take the same parent hop). The header carries only the mode
-   ([Greedy]/[Fallback] phase) and the fallback re-entry bound [fbound];
-   everything else — the destination's closest beacons, the asymmetric
-   delta — is recomputed at each node from the coordinate, which the
-   [extra_bytes] account for on the wire. *)
+(* Per-hop BVR forwarding from the carried coordinate. Greedy moves to the
+   neighbor with the strictly smallest delta. Once stuck, the packet rides
+   the closest beacon's tree ([Fallback_descent]) and returns to greedy
+   only on strict improvement over the delta at which fallback was
+   entered — otherwise greedy would re-descend into the same local
+   minimum. The header carries only the mode ([Greedy]/[Fallback] phase)
+   and the fallback re-entry bound [fbound]; everything else — the
+   destination's closest beacons, the asymmetric delta — is recomputed at
+   each node from the coordinate, which the [extra_bytes] account for on
+   the wire. *)
 let forward t (h : D.header) ~at:u =
   let dst = h.D.dst in
   if u = dst then D.Deliver

@@ -25,10 +25,6 @@ val build : rng:Disco_util.Rng.t -> Disco_graph.Graph.t -> t
 
 val beacon_count : t -> int
 
-val route : t -> src:int -> dst:int -> int list option
-(** Greedy + beacon-fallback forwarding; [None] when the packet is stuck
-    at the fallback beacon (BVR would flood). *)
-
 val state_entries : t -> int -> int
 (** Coordinates plus beacon next-hops at one node. *)
 
@@ -37,7 +33,7 @@ val state_bytes : t -> int -> float
     float64 distance plus one word of next hop per beacon. *)
 
 val ttl_factor : int
-(** TTL budget as a multiple of [n] (4, matching {!route}). *)
+(** TTL budget as a multiple of [n] (4). *)
 
 val forward :
   t ->
@@ -46,7 +42,8 @@ val forward :
   Disco_core.Dataplane.decision
 (** One greedy/fallback step at node [at] from the carried coordinate
     (phases {!Dataplane.Greedy}/{!Dataplane.Fallback}, re-entry bound in
-    [fbound]). Walking {!forward} reproduces {!route} exactly. *)
+    [fbound]). Drops ([No_route]) when the packet is stuck at the
+    fallback beacon, where BVR would flood. *)
 
 val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** The header a source emits: greedy phase, the destination's coordinate

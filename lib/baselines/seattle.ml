@@ -55,16 +55,6 @@ let shortest t ~src ~dst = Landmark_trees.path_from t.trees ~lm:src dst
 
 let resolver_of t dst = t.resolver.(dst)
 
-let route_later t ~src ~dst = if src = dst then [ src ] else shortest t ~src ~dst
-
-let route_first t ~src ~dst =
-  if src = dst then [ src ]
-  else begin
-    let r = t.resolver.(dst) in
-    if r = src || r = dst then route_later t ~src ~dst
-    else shortest t ~src ~dst:r @ List.tl (shortest t ~src:r ~dst)
-  end
-
 let state_entries t v = Graph.n t.graph - 1 + Packed.Csr.row_len t.directory v
 
 let state_bytes t v =
@@ -77,13 +67,12 @@ module D = Disco_core.Dataplane
 let ttl_factor = 4
 
 (* SEATTLE's data plane has no shortcutting: packets follow the exact
-   label route the source's link-state table produced (so walks equal the
-   oracle node for node). A first packet steers to the resolver, which
-   looks the destination up in its directory share and writes the onward
-   route from its own table. While steering, the packet is addressed to
-   the resolver — a node it rides through does not inspect the inner
-   destination, so it only delivers in [Carry] (matching the oracle,
-   whose resolver detour may pass through the destination). *)
+   label route the source's link-state table produced. A first packet
+   steers to the resolver, which looks the destination up in its
+   directory share and writes the onward route from its own table. While
+   steering, the packet is addressed to the resolver — a node it rides
+   through does not inspect the inner destination, so it only delivers in
+   [Carry] (the resolver detour may pass through the destination). *)
 let forward t (h : D.header) ~at:u =
   (* disco-lint: allow L7 the scrutinee pairs phase and labels: per-decision by design *)
   match (h.D.phase, h.D.labels) with

@@ -16,12 +16,6 @@ val resolver_of : t -> int -> int
 (** The router storing a destination's location (consistent hashing over
     all routers). *)
 
-val route_first : t -> src:int -> dst:int -> int list
-(** Shortest path to the resolver, then shortest path onward. *)
-
-val route_later : t -> src:int -> dst:int -> int list
-(** Exact shortest path (the source caches the location). *)
-
 val state_entries : t -> int -> int
 (** n-1 link-state routes + the node's directory share — a CSR row length
     over the inverted resolver map, not a rescan of all n slots. *)
@@ -40,10 +34,15 @@ val forward :
   Disco_core.Dataplane.decision
 (** Consume the explicit label route; a first packet's [Steer] leg ends at
     the resolver, which writes the onward route from its own link-state
-    table. No shortcutting — walks equal the route oracles node for node. *)
+    table. No shortcutting. *)
 
 val first_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
+(** Steer to the destination's resolver along the shortest path, so the
+    first packet's walk is the shortest path to the resolver, then the
+    shortest path onward. *)
+
 val later_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
+(** The exact shortest path (the source caches the location). *)
 
 (** {2 Compiled fast path} *)
 

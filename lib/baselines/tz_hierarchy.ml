@@ -13,7 +13,7 @@ type t = {
   pivot_dist : float array array; (* d(v, A_i) *)
   bunch : Packed.Csr.t; (* per node: sorted bunch member ids *)
   bunch_d : Packed.Fslab.t; (* parallel to [bunch.data]: d(v, w) *)
-  trees : Landmark_trees.t; (* per-pivot SSSP shared by route and forward *)
+  trees : Landmark_trees.t; (* per-pivot SSSP shared by both faces *)
 }
 
 let k t = t.k
@@ -132,38 +132,11 @@ let state_bytes t v =
 let in_bunch t ~node ~target =
   node = target || Packed.Csr.find_sorted t.bunch node target >= 0
 
-(* The TZ query: climb levels, alternating sides, until the current pivot
-   of one endpoint lies in the other's bunch; route via that pivot. *)
-let route_length t ~src ~dst =
-  if src = dst then 0.0
-  else begin
-    let rec climb i x y w =
-      if in_bunch t ~node:y ~target:w then begin
-        let d_xw = if w = x then 0.0 else t.pivot_dist.(i).(x) in
-        let d_yw =
-          if w = y then 0.0
-          else
-            Packed.Fslab.get t.bunch_d
-              (Packed.Csr.row_off t.bunch y + Packed.Csr.find_sorted t.bunch y w)
-        in
-        d_xw +. d_yw
-      end
-      else begin
-        let i = i + 1 in
-        if i >= t.k then infinity (* disconnected *)
-        else begin
-          let x, y = (y, x) in
-          climb i x y t.pivot.(i).(x)
-        end
-      end
-    in
-    climb 0 src dst src
-  end
-
 let stretch_bound t = float_of_int ((2 * t.k) - 1)
 
-(* The same climb as {!route_length}, stopping at the pivot the packet
-   routes through. *)
+(* The TZ query: climb levels, alternating sides, until the current pivot
+   of one endpoint lies in the other's bunch; the packet routes via that
+   pivot. *)
 let routing_pivot t ~src ~dst =
   let rec climb i x y w =
     if in_bunch t ~node:y ~target:w then Some w
@@ -178,23 +151,6 @@ let routing_pivot t ~src ~dst =
   in
   climb 0 src dst src
 
-let route t ~src ~dst =
-  if src = dst then Some [ src ]
-  else
-    match routing_pivot t ~src ~dst with
-    | None -> None
-    | Some w ->
-        (* Both legs of [src ~> w ~> dst] are shortest paths, so one tree
-           rooted at the pivot reconstructs the whole route. *)
-        if
-          Landmark_trees.dist t.trees ~lm:w src = infinity
-          || Landmark_trees.dist t.trees ~lm:w dst = infinity
-        then None
-        else
-          Some
-            (Landmark_trees.path_to t.trees src ~lm:w
-            @ List.tl (Landmark_trees.path_from t.trees ~lm:w dst))
-
 module D = Disco_core.Dataplane
 
 let ttl_factor = 4
@@ -204,9 +160,9 @@ let ttl_factor = 4
    ([Steer] with no labels — each hop is a local parent lookup), and the
    pivot itself writes the explicit descent to the destination. While
    climbing, the packet is addressed to the pivot, so a node it rides
-   through does not deliver even if it is the destination (the oracle's
-   route may cross the destination on the way up); only the pivot itself
-   and the [Carry] descent deliver. Walks equal {!route} node for node. *)
+   through does not deliver even if it is the destination (the climb may
+   cross the destination on the way up); only the pivot itself and the
+   [Carry] descent deliver. *)
 let forward t (h : D.header) ~at:u =
   let dst = h.D.dst in
   match h.D.phase with

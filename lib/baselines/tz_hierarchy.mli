@@ -35,16 +35,6 @@ val state_bytes : t -> int -> float
     with the parallel distance slab (16 bytes per entry) plus a
     (pivot, distance) pair per level. *)
 
-val route_length : t -> src:int -> dst:int -> float
-(** Length of the TZ route (via the first common pivot, taking the better
-    direction). Finite for every connected pair. *)
-
-val route : t -> src:int -> dst:int -> int list option
-(** The node path of the TZ route, [src ~> pivot ~> dst] along shortest
-    paths; [None] only when the pair is disconnected. Its length can
-    exceed {!route_length} by the unexplored reverse direction — the
-    scheme forwards via the pivot found climbing from [src]. *)
-
 val stretch_bound : t -> float
 (** The scheme's worst-case guarantee, [2k - 1]. *)
 
@@ -61,7 +51,9 @@ val forward :
   Disco_core.Dataplane.decision
 (** One forwarding decision: climb the carried pivot's shortest-path tree
     (each hop a local parent lookup), then the pivot writes the explicit
-    descent. Walking {!forward} reproduces {!route} node for node. *)
+    descent. A walk from {!packet_header} follows [src ~> pivot ~> dst]
+    along shortest paths, so its length is d(src, pivot) + d(pivot, dst);
+    it drops ([No_route]) only when the pair is disconnected. *)
 
 val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** The header the source emits: the routing pivot of the (src, dst) climb

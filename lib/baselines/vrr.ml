@@ -25,10 +25,10 @@ let pair_key x y = if x < y then (x, y) else (y, x)
 
 module Iset = Set.Make (Int)
 
-(* Greedy VRR forwarding, abstracted over the table representation:
-   [next_toward u e] and [best_endpoint u bound] close over the tables,
-   the destination, and the usability filter — the build routes over the
-   staging lists, the converged oracle over the frozen CSR.
+(* Greedy VRR forwarding as the build routes setup requests:
+   [next_toward u e] and [best_endpoint u bound] close over the staging
+   indexes, the destination, and the joined-so-far filter. The converged
+   data plane ([forward]) takes the same steps over the frozen CSR.
 
    The packet is always committed to the known endpoint whose virtual id is
    closest to the destination; it follows that endpoint's stored path hop
@@ -372,10 +372,8 @@ let build ~rng graph =
    staging-list helpers above, realised as backward 4-stride block scans
    (newest entry first). *)
 
-let pk_next_toward t ~usable u e =
-  let neighbor = ref false in
-  Graph.iter_neighbors t.graph u (fun v _ -> if v = e && usable v then neighbor := true);
-  if !neighbor then Some e
+let pk_next_toward t u e =
+  if Graph.has_edge t.graph u e then Some e
   else begin
     let data = t.entries.Packed.Csr.data in
     let off = Packed.Csr.row_off t.entries u in
@@ -388,12 +386,12 @@ let pk_next_toward t ~usable u e =
     scan (off + Packed.Csr.row_len t.entries u - 4)
   end
 
-let pk_best_endpoint t ~usable u ~dst ~bound =
+let pk_best_endpoint t u ~dst ~bound =
   let vd x = Hash_space.ring_distance t.vids.(x) t.vids.(dst) in
   let better a b = Hash_space.compare_unsigned a b < 0 in
   let best = ref None and best_d = ref bound in
   let consider endpoint =
-    if endpoint <> u && usable endpoint then begin
+    if endpoint <> u then begin
       let d = vd endpoint in
       if better d !best_d then begin
         best := Some endpoint;
@@ -401,7 +399,7 @@ let pk_best_endpoint t ~usable u ~dst ~bound =
       end
     end
   in
-  Graph.iter_neighbors t.graph u (fun v _ -> if usable v then consider v);
+  Graph.iter_neighbors t.graph u (fun v _ -> consider v);
   let data = t.entries.Packed.Csr.data in
   let off = Packed.Csr.row_off t.entries u in
   let j = ref (off + Packed.Csr.row_len t.entries u - 4) in
@@ -412,38 +410,26 @@ let pk_best_endpoint t ~usable u ~dst ~bound =
   done;
   (!best, !best_d)
 
-let route t ~src ~dst =
-  if src = dst then Some [ src ]
-  else
-    let usable _ = true in
-    greedy_route_gen ~graph:t.graph
-      ~next_toward:(fun u e -> pk_next_toward t ~usable u e)
-      ~best_endpoint:(fun u bound -> pk_best_endpoint t ~usable u ~dst ~bound)
-      ~direct:(fun u -> Graph.has_edge t.graph u dst)
-      ~src ~dst
-
 module D = Core.Dataplane
 
 (* VRR's corridors can wander: the converged greedy walk is bounded by 8n
-   decisions (matching [greedy_route]'s TTL). *)
+   decisions (matching the build's [greedy_route_gen] TTL). *)
 let ttl_factor = 8
 
-(* Per-hop greedy forwarding: exactly one [greedy_route] step. The packet
-   carries the committed endpoint ([anchor]) and the monotone bound on the
-   best virtual distance ever committed ([vbound]); [Int64.minus_one] (max
-   unsigned) is the no-bound sentinel in both this header field and the
-   route oracle. The 8 [extra_bytes] are the destination's virtual id. *)
+(* Per-hop greedy forwarding: exactly one [greedy_route_gen] step. The
+   packet carries the committed endpoint ([anchor]) and the monotone bound
+   on the best virtual distance ever committed ([vbound]); [Int64.minus_one]
+   (max unsigned) is the no-bound sentinel, as in the build's routing. The
+   8 [extra_bytes] are the destination's virtual id. *)
 let forward t (h : D.header) ~at:u =
   let dst = h.D.dst in
-  (* disco-lint: allow L7 trivial usability predicate shared with the oracle's signature *)
-  let usable _ = true in
   if u = dst then D.Deliver
   else if Graph.has_edge t.graph u dst then D.Forward dst
   else begin
     let committed = if h.D.anchor = u then -1 else h.D.anchor in
     let best, best_d =
       (* disco-lint: allow L7 endpoint scan recomputed per node from the carried bound is the VRR design *)
-      pk_best_endpoint t ~usable u ~dst ~bound:h.D.vbound
+      pk_best_endpoint t u ~dst ~bound:h.D.vbound
     in
     let target =
       match best with
@@ -454,7 +440,7 @@ let forward t (h : D.header) ~at:u =
     | None -> D.Drop D.No_route
     | Some e -> (
         (* disco-lint: allow L7 corridor step recomputed per node is the VRR design *)
-        match pk_next_toward t ~usable u e with
+        match pk_next_toward t u e with
         | None -> D.Drop D.No_route (* broken corridor *)
         | Some hop ->
             if e = h.D.anchor && Int64.equal best_d h.D.vbound then

@@ -26,13 +26,10 @@ val build : rng:Disco_util.Rng.t -> Disco_graph.Graph.t -> t
 (** Vsets of r = 4, as in the paper's evaluation, over the default
     names. *)
 
-val route : t -> src:int -> dst:int -> int list option
-(** Greedy virtual-ring forwarding; [None] if the packet loops or stalls
-    (counted by {!failed_routes} — rare on connected graphs). *)
-
 val ttl_factor : int
-(** TTL budget as a multiple of [n] (8, matching {!route}'s internal TTL —
-    VRR corridors can wander well past the diameter). *)
+(** TTL budget as a multiple of [n] (8, matching the TTL the build routes
+    setup requests under — VRR corridors can wander well past the
+    diameter). *)
 
 val forward :
   t ->
@@ -40,9 +37,10 @@ val forward :
   at:int ->
   Disco_core.Dataplane.decision
 (** One greedy step at node [at], consulting only its pset, its stored
-    path entries and the header's committed endpoint/bound. Walking
-    {!forward} from [src] reproduces {!route} exactly (same path, same
-    delivery verdict). *)
+    path entries and the header's committed endpoint/bound: the step the
+    build takes when it routes setup requests, over the converged tables.
+    The walk drops ([No_route]) where greedy stalls on a broken corridor
+    — rare on connected graphs. *)
 
 val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** The header a source emits: phase {!Dataplane.Greedy}, no commitment

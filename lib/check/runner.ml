@@ -62,8 +62,8 @@ let validate g ~src ~dst path =
 type pair_result = {
   src : int;
   dst : int;
-  first : int list option;  (** oracle's first-packet route *)
-  later : int list option;  (** oracle's post-handshake route *)
+  oracle : (int list * int list) option;
+      (** the closed-form (first, later) routes, for schemes that keep one *)
   walk_first : Dataplane.trace;  (** data plane's first packet *)
   walk_later : Dataplane.trace;
   first_fallback : bool;
@@ -76,10 +76,9 @@ type measurement = {
   tel : Telemetry.t;
 }
 
-(* Each pair is measured twice over: the closed-form oracle route and a
-   hop-by-hop walk of the scheme's data plane. The runner then holds the
-   two against each other (check_walk) on top of the oracle-side
-   invariants. *)
+(* Each pair is walked hop by hop through the scheme's data plane, and
+   routed by its closed-form oracle where it keeps one; the runner checks
+   the walks and holds the oracle against them (check_walk). *)
 let measure (packed : Protocol.packed) tb pairs =
   let module R = (val packed : Protocol.ROUTER) in
   let tel = Telemetry.create () in
@@ -88,15 +87,13 @@ let measure (packed : Protocol.packed) tb pairs =
   let results =
     List.map
       (fun (src, dst) ->
-        let first = R.oracle_first rt ~tel ~src ~dst in
-        let later = R.oracle_later rt ~tel ~src ~dst in
+        let oracle = Option.map (fun f -> f rt ~src ~dst) R.oracle in
         let walk_first = Walk.first_trace (module R) rt ~tel ~graph ~src ~dst in
         let walk_later = Walk.later_trace (module R) rt ~tel ~graph ~src ~dst in
         {
           src;
           dst;
-          first;
-          later;
+          oracle;
           walk_first;
           walk_later;
           first_fallback = Walk.fell_back walk_first;
@@ -123,8 +120,11 @@ let oracle_distances g pairs =
       sp.Dijkstra.dist.(dst))
     pairs
 
-let check_phase ~violations ~scheme ~spec ~covered g ~phase ~oracle pr route
-    ~fallback =
+(* The universal invariants on one walk. A [Protocol_error] drop is a bug
+   in every scheme — non-neighbor hop, misdelivery, refused header: the
+   forward function broke the data-plane contract itself. *)
+let check_phase ~violations ~scheme ~spec ~covered g ~phase ~dist pr
+    (tr : Dataplane.trace) ~fallback =
   let add kind = violations := { Violation.scheme; kind } :: !violations in
   let bound =
     match phase with "first" -> spec.Spec.first_bound | _ -> spec.Spec.later_bound
@@ -133,16 +133,20 @@ let check_phase ~violations ~scheme ~spec ~covered g ~phase ~oracle pr route
     ((not spec.Spec.needs_coverage) || covered)
     && not (String.equal phase "first" && spec.Spec.skip_fallback_first && fallback)
   in
-  match route with
-  | None ->
-      if spec.Spec.guaranteed_delivery && oracle < infinity then
+  match tr.Dataplane.dropped with
+  | Some (Dataplane.Protocol_error _ as r) ->
+      add
+        (Violation.Dataplane_error
+           { phase; src = pr.src; dst = pr.dst; detail = Dataplane.reason_to_string r })
+  | Some _ ->
+      if spec.Spec.guaranteed_delivery && dist < infinity then
         add (Violation.Delivery_failure { phase; src = pr.src; dst = pr.dst })
-  | Some path -> (
-      match validate g ~src:pr.src ~dst:pr.dst path with
+  | None -> (
+      match validate g ~src:pr.src ~dst:pr.dst tr.Dataplane.path with
       | Error reason ->
           add (Violation.Invalid_path { phase; src = pr.src; dst = pr.dst; reason })
       | Ok len ->
-          let stretch = len /. oracle in
+          let stretch = len /. dist in
           if stretch < 1.0 -. eps then
             add (Violation.Beats_oracle { phase; src = pr.src; dst = pr.dst; stretch });
           (match bound with
@@ -152,72 +156,36 @@ let check_phase ~violations ~scheme ~spec ~covered g ~phase ~oracle pr route
                    { phase; src = pr.src; dst = pr.dst; stretch; bound = b })
           | _ -> ()))
 
-(* Walk ≡ oracle, per scheme. Both faces must agree on the delivery
-   verdict; when both deliver, [walk_exact] schemes must reproduce the
-   oracle's node sequence and the rest (the shortcut schemes) must land on
-   the same weighted length — their walks may divert from knowledge at a
-   different-but-equivalent point, but every divert rides a shortest path.
-   A [Protocol_error] drop is a bug regardless of what the oracle says:
-   the forward function broke the data-plane contract itself. *)
-let check_walk ~violations ~scheme ~spec g ~phase pr ~oracle_route
+(* Walk ≡ oracle, for the schemes that keep a closed-form route. Both
+   faces must agree on the delivery verdict (the oracle always routes),
+   and a delivered walk must land on the oracle's weighted length: it may
+   divert from knowledge at a different-but-equivalent point, but every
+   divert rides a shortest path. *)
+let check_walk ~violations ~scheme g ~phase pr ~oracle_route
     (tr : Dataplane.trace) =
-  let add kind = violations := { Violation.scheme; kind } :: !violations in
-  let src = pr.src and dst = pr.dst in
+  let diverge detail =
+    violations :=
+      {
+        Violation.scheme;
+        kind = Violation.Walk_divergence { phase; src = pr.src; dst = pr.dst; detail };
+      }
+      :: !violations
+  in
   match tr.Dataplane.dropped with
-  | Some (Dataplane.Protocol_error _ as r) ->
-      add
-        (Violation.Dataplane_error
-           { phase; src; dst; detail = Dataplane.reason_to_string r })
-  | _ -> (
-      match (oracle_route, tr.Dataplane.delivered) with
-      | None, false -> ()
-      | None, true ->
-          add
-            (Violation.Walk_divergence
-               { phase; src; dst; detail = "walk delivered but the oracle found no route" })
-      | Some _, false ->
-          let why =
-            match tr.Dataplane.dropped with
-            | Some r -> Dataplane.reason_to_string r
-            | None -> "not delivered"
-          in
-          add
-            (Violation.Walk_divergence
-               {
-                 phase;
-                 src;
-                 dst;
-                 detail = Printf.sprintf "oracle routes but the walk dropped (%s)" why;
-               })
-      | Some path, true ->
-          (* The walker validated every hop as a graph edge; both lengths
-             exist. *)
-          let len_walk = Dijkstra.path_length g tr.Dataplane.path in
-          let len_oracle = Dijkstra.path_length g path in
-          if spec.Spec.walk_exact && tr.Dataplane.path <> path then
-            add
-              (Violation.Walk_divergence
-                 {
-                   phase;
-                   src;
-                   dst;
-                   detail =
-                     Printf.sprintf
-                       "walk path differs from the oracle's (%d vs %d hops)"
-                       (List.length tr.Dataplane.path - 1)
-                       (List.length path - 1);
-                 })
-          else if Float.abs (len_walk -. len_oracle) > eps then
-            add
-              (Violation.Walk_divergence
-                 {
-                   phase;
-                   src;
-                   dst;
-                   detail =
-                     Printf.sprintf "walk length %.6f, oracle length %.6f"
-                       len_walk len_oracle;
-                 }))
+  | Some (Dataplane.Protocol_error _) -> () (* check_phase reports it *)
+  | Some r ->
+      diverge
+        (Printf.sprintf "oracle routes but the walk dropped (%s)"
+           (Dataplane.reason_to_string r))
+  | None -> (
+      (* The walker validated every hop as a graph edge. *)
+      let len_walk = Dijkstra.path_length g tr.Dataplane.path in
+      match validate g ~src:pr.src ~dst:pr.dst oracle_route with
+      | Error reason -> diverge ("invalid oracle route: " ^ reason)
+      | Ok len_oracle ->
+          if Float.abs (len_walk -. len_oracle) > eps then
+            diverge
+              (Printf.sprintf "walk length %.6f, oracle length %.6f" len_walk len_oracle))
 
 (* Fast ≡ typed, per scheme: encode the scheme's own headers through the
    wire codec, route them with the compiled forward over one scratch
@@ -336,7 +304,7 @@ let check_states ~violations ~scheme ~spec ~n states =
   | Some (node, entries, bound) -> add (Violation.State_exceeded { node; entries; bound })
   | None -> ()
 
-let routes_of m = List.map (fun pr -> (pr.first, pr.later)) m.results
+let routes_of m = List.map (fun pr -> pr.oracle) m.results
 
 let walks_of m =
   List.map
@@ -354,15 +322,16 @@ let check_determinism ~violations ~scheme m m' =
   if routes_of m <> routes_of m' then add "routes";
   if walks_of m <> walks_of m' then add "data-plane walks";
   if m.states <> m'.states then add "state tables";
-  (* The full snapshot: the new walk/hop/rewrite/byte counters must
-     reproduce bit for bit along with the oracle-side ones. *)
+  (* The full snapshot: the walk/hop/rewrite/byte counters must reproduce
+     bit for bit along with the rest. *)
   if Telemetry.snapshot m.tel <> Telemetry.snapshot m'.tel then
     add "telemetry counters"
 
 let check_differential ~violations disco nd =
+  let later pr = Option.map snd pr.oracle in
   List.iter2
     (fun (d : pair_result) (x : pair_result) ->
-      if d.later <> x.later then
+      if later d <> later x then
         let hops = function None -> -1 | Some p -> List.length p in
         violations :=
           {
@@ -375,7 +344,7 @@ let check_differential ~violations disco nd =
                   dst = d.dst;
                   detail =
                     Printf.sprintf "later routes differ (%d vs %d hops)"
-                      (hops d.later) (hops x.later);
+                      (hops (later d)) (hops (later x));
                 };
           }
           :: !violations)
@@ -438,7 +407,7 @@ let run ?routers ?(spec_of = Spec.find) (sc : Scenario.t) =
       :: !violations;
   let tb' = Testbed.of_graph ~seed:sc.Scenario.seed g' in
   let covered = coverage (Testbed.nd tb) in
-  let oracles = oracle_distances g pairs in
+  let dists = oracle_distances g pairs in
   let route_failures = ref 0 in
   let measured =
     List.map
@@ -448,21 +417,25 @@ let run ?routers ?(spec_of = Spec.find) (sc : Scenario.t) =
         let m = measure packed tb pairs in
         let m' = measure packed tb' pairs in
         List.iter2
-          (fun pr oracle ->
-            let count_failure route =
-              if route = None && not spec.Spec.guaranteed_delivery then incr route_failures
+          (fun pr dist ->
+            let count_failure (tr : Dataplane.trace) =
+              if (not tr.Dataplane.delivered) && not spec.Spec.guaranteed_delivery then
+                incr route_failures
             in
-            count_failure pr.first;
-            count_failure pr.later;
-            check_phase ~violations ~scheme ~spec ~covered g ~phase:"first" ~oracle pr
-              pr.first ~fallback:pr.first_fallback;
-            check_phase ~violations ~scheme ~spec ~covered g ~phase:"later" ~oracle pr
-              pr.later ~fallback:false;
-            check_walk ~violations ~scheme ~spec g ~phase:"first" pr
-              ~oracle_route:pr.first pr.walk_first;
-            check_walk ~violations ~scheme ~spec g ~phase:"later" pr
-              ~oracle_route:pr.later pr.walk_later)
-          m.results oracles;
+            count_failure pr.walk_first;
+            count_failure pr.walk_later;
+            check_phase ~violations ~scheme ~spec ~covered g ~phase:"first" ~dist pr
+              pr.walk_first ~fallback:pr.first_fallback;
+            check_phase ~violations ~scheme ~spec ~covered g ~phase:"later" ~dist pr
+              pr.walk_later ~fallback:false;
+            match pr.oracle with
+            | None -> ()
+            | Some (first, later) ->
+                check_walk ~violations ~scheme g ~phase:"first" pr ~oracle_route:first
+                  pr.walk_first;
+                check_walk ~violations ~scheme g ~phase:"later" pr ~oracle_route:later
+                  pr.walk_later)
+          m.results dists;
         check_states ~violations ~scheme ~spec ~n m.states;
         check_determinism ~violations ~scheme m m';
         check_fastpath ~violations ~scheme packed tb m;

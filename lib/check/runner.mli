@@ -2,30 +2,29 @@
     violations.
 
     For each scheme the runner builds converged state over the scenario's
-    testbed, measures the scenario's workload through both of the scheme's
-    faces — the closed-form oracle routes and hop-by-hop walks of its data
-    plane — and checks:
+    testbed, walks the scenario's workload hop by hop through the scheme's
+    data plane, and checks:
 
-    - every returned route is a real path from src to dst in the graph;
+    - every delivered walk is a real path from src to dst in the graph;
     - delivery, for schemes that guarantee it (the graph is connected);
     - stretch against a full-Dijkstra oracle: never below 1, and within
       the scheme's bound whenever its preconditions hold (coverage for
       Disco/NDDisco, non-fallback pairs for Disco's first packet);
-    - walk ≡ oracle: the data-plane walk and the oracle agree on the
-      delivery verdict; delivered walks reproduce the oracle's node
-      sequence ({!Spec.t.walk_exact}) or its weighted length (the
-      shortcut schemes); a walker {!Disco_core.Dataplane.Protocol_error}
-      — non-neighbor hop, misdelivery, refused header — is always a
-      violation. The walker itself enforces TTL-bounded loop-free
-      progress and that [forward] sees nothing but the header and the
-      deciding node;
+    - a walker {!Disco_core.Dataplane.Protocol_error} — non-neighbor hop,
+      misdelivery, refused header — is always a violation. The walker
+      itself enforces TTL-bounded loop-free progress and that [forward]
+      sees nothing but the header and the deciding node;
+    - walk ≡ oracle, for the schemes whose
+      {!Disco_experiments.Protocol.ROUTER.oracle} is [Some] (disco,
+      nddisco, s4): the walk must deliver, with the oracle's weighted
+      length;
     - per-node state within the scheme's bound, never negative;
     - bit-exact determinism: a second build from the same scenario must
-      reproduce the topology, every route, every walk, every state table
-      and the full telemetry snapshot (including the walk counters);
-    - the differential invariant that Disco's post-handshake routes equal
-      NDDisco's (Disco §4.3 delegates forwarding to NDDisco over its own
-      addresses);
+      reproduce the topology, every oracle route, every walk, every state
+      table and the full telemetry snapshot (including the walk counters);
+    - the differential invariant that Disco's post-handshake oracle
+      routes equal NDDisco's (Disco §4.3 delegates forwarding to NDDisco
+      over its own addresses);
     - landmark-churn hysteresis: a size schedule confined to a
       sub-factor-2 band must produce zero status flips.
 
@@ -37,7 +36,7 @@ type outcome = {
   n : int;  (** actual node count of the materialized graph *)
   pairs_checked : int;
   schemes : string list;  (** schemes that ran, in order *)
-  route_failures : int;  (** legal [None] routes on non-guaranteed schemes *)
+  route_failures : int;  (** legal undelivered walks on non-guaranteed schemes *)
   violations : Violation.t list;
 }
 

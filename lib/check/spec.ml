@@ -6,7 +6,6 @@ type t = {
   needs_coverage : bool;
   skip_fallback_first : bool;
   state_bound : (n:int -> float) option;
-  walk_exact : bool;
 }
 
 (* Calibrated over `disco_check --seed 42 --cases 200` plus 1000-case
@@ -31,7 +30,6 @@ let permissive scheme =
     needs_coverage = false;
     skip_fallback_first = false;
     state_bound = None;
-    walk_exact = false;
   }
 
 let defaults =
@@ -45,7 +43,6 @@ let defaults =
       needs_coverage = false;
       skip_fallback_first = false;
       state_bound = Some (fun ~n -> float_of_int (n - 1));
-      walk_exact = true;
     };
     (* SEATTLE: first packet detours through the resolver (no worst-case
        bound); cached forwarding is shortest-path. *)
@@ -57,13 +54,11 @@ let defaults =
       needs_coverage = false;
       skip_fallback_first = false;
       state_bound = None;
-      walk_exact = true;
     };
-    (* BVR and VRR are greedy/geographic: legal to fail, no stretch bound,
-       but their data planes replay the oracle's decision procedure
-       step for step, so the walks must match node for node. *)
-    { (permissive "bvr") with scheme = "bvr"; walk_exact = true };
-    { (permissive "vrr") with scheme = "vrr"; walk_exact = true };
+    (* BVR and VRR are greedy/geographic: legal to fail, no stretch
+       bound. *)
+    permissive "bvr";
+    permissive "vrr";
     (* S4: worst-case stretch 3 (TZ) once the landmark is known; the first
        packet detours via the resolution database — unbounded (§5). *)
     {
@@ -74,7 +69,6 @@ let defaults =
       needs_coverage = false;
       skip_fallback_first = false;
       state_bound = Some sqrt_state;
-      walk_exact = false;
     };
     (* NDDisco, Theorem 2: first <= 5, later <= 3, deterministic under
        landmark-in-every-vicinity. *)
@@ -86,7 +80,6 @@ let defaults =
       needs_coverage = true;
       skip_fallback_first = false;
       state_bound = Some sqrt_state;
-      walk_exact = false;
     };
     (* Disco, Theorem 1: first <= 7 unless the pair fell back to global
        resolution (the w.h.p. clause), later <= 3. *)
@@ -98,7 +91,6 @@ let defaults =
       needs_coverage = true;
       skip_fallback_first = true;
       state_bound = Some sqrt_state;
-      walk_exact = false;
     };
     (* Thorup–Zwick with k = 2: worst-case stretch 2k - 1 = 3. *)
     {
@@ -109,7 +101,6 @@ let defaults =
       needs_coverage = false;
       skip_fallback_first = false;
       state_bound = Some sqrt_state;
-      walk_exact = true;
     };
   ]
 

@@ -30,9 +30,8 @@ type kind =
   | Churn_violation of { detail : string }
       (** landmark hysteresis flipped inside a sub-factor-2 band *)
   | Walk_divergence of { phase : string; src : int; dst : int; detail : string }
-      (** the hop-by-hop walk and the closed-form oracle disagree: on the
-          delivery verdict, on weighted length, or (for [walk_exact]
-          schemes) on the node sequence itself *)
+      (** the hop-by-hop walk and the closed-form oracle (disco, nddisco,
+          s4) disagree: on the delivery verdict or on weighted length *)
   | Dataplane_error of { phase : string; src : int; dst : int; detail : string }
       (** the walker hit a protocol error: [forward] returned a
           non-neighbor, delivered away from the destination, or refused

@@ -210,7 +210,7 @@ let resolution_owner t nd key_name =
   match known_landmarks nd with
   | [] -> None
   | lms ->
-      let owners = Array.of_list (List.sort compare lms) in
+      let owners = Array.of_list (List.sort Int.compare lms) in
       let ring =
         Consistent_hash.create
           ~replicas:t.config.params.Params.resolution_replicas ~owners
@@ -283,7 +283,7 @@ let overlay_links t nd =
       None by_hash
   in
   let base = List.filter_map Fun.id [ succ; pred ] in
-  List.sort_uniq compare (base @ List.filter (fun f -> Hashtbl.mem nd.addr_store f) nd.fingers)
+  List.sort_uniq Int.compare (base @ List.filter (fun f -> Hashtbl.mem nd.addr_store f) nd.fingers)
 
 let gossip_addr t nd ~origin ~origin_hash ~addr ~exclude_direction =
   List.iter
@@ -311,7 +311,7 @@ let refresh_fingers t nd =
       nd.fingers <-
         List.init t.config.params.Params.fingers (fun _ ->
             arr.(Rng.int nd.rng (Array.length arr)))
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
 
 (* --- timers -------------------------------------------------------------- *)
 
@@ -395,7 +395,11 @@ let handle t v ~src msg =
                   :: acc
                 else acc)
               nd.res_store []
-            |> List.sort compare
+            (* Ring distance unsigned, then id: ids are unique, so the
+               order is total and never reads the address. *)
+            |> List.sort (fun (da, a, _) (db, b, _) ->
+                   let c = Hash_space.compare_unsigned da db in
+                   if c <> 0 then c else Int.compare a b)
           in
           let hops =
             match Hashtbl.find_opt nd.routes origin with

@@ -3,6 +3,8 @@
 module Gen = Disco_graph.Gen
 module Rng = Disco_util.Rng
 module Stats = Disco_util.Stats
+module Dataplane = Disco_core.Dataplane
+module Tz = Disco_baselines.Tz_hierarchy
 
 (* fig9: mean stretch and mean state as n grows (geometric graphs). *)
 let fig9 (cfg : Engine.config) =
@@ -50,22 +52,24 @@ let tradeoff (cfg : Engine.config) =
   let rows =
     List.map
       (fun k ->
-        let tz =
-          Disco_baselines.Tz_hierarchy.build ~rng:(Rng.create (seed + k)) ~k graph
-        in
-        let states =
-          Array.init n (fun v -> float_of_int (Disco_baselines.Tz_hierarchy.state tz v))
-        in
+        let tz = Tz.build ~rng:(Rng.create (seed + k)) ~k graph in
+        let states = Array.init n (fun v -> float_of_int (Tz.state tz v)) in
         let stretches =
           Engine.map_groups ~jobs ~tel ~seed:(Rng.derive seed (90 + k)) graph
             groups (fun ~src:s ~dst:t ~dist ->
-              Disco_baselines.Tz_hierarchy.route_length tz ~src:s ~dst:t /. dist)
+              match
+                Walk.path_of
+                  (Dataplane.walk ~ttl:(Tz.ttl_factor * n) graph ~forward:(Tz.forward tz)
+                     ~src:s (Tz.packet_header tz ~src:s ~dst:t))
+              with
+              | Some path -> Engine.path_stretch graph ~dist path
+              | None -> infinity)
         in
         let st = Stats.summarize states in
         let sr = Stats.summarize stretches in
         [
           string_of_int k;
-          Printf.sprintf "%.0f" (Disco_baselines.Tz_hierarchy.stretch_bound tz);
+          Printf.sprintf "%.0f" (Tz.stretch_bound tz);
           Printf.sprintf "%.3f" sr.Stats.mean;
           Printf.sprintf "%.3f" sr.Stats.max;
           Printf.sprintf "%.0f" st.Stats.mean;

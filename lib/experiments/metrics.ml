@@ -34,9 +34,9 @@ type stretch_result = {
   vrr_failures : int;
 }
 
-(* All route calls below read converged state only (the same fact that
-   makes ROUTER.fork the identity for these schemes), so per-pair mapping
-   is safe to fan out over the pool. *)
+(* All route calls and VRR walks below read converged state only (the same
+   fact that makes ROUTER.fork the identity for these schemes), so
+   per-pair mapping is safe to fan out over the pool. *)
 let stretch ?(pairs = 2000) ?(with_vrr = false) ?jobs (tb : Testbed.t) =
   let heuristic = Core.Shortcut.No_path_knowledge in
   let n = Graph.n tb.graph in
@@ -50,7 +50,13 @@ let stretch ?(pairs = 2000) ?(with_vrr = false) ?jobs (tb : Testbed.t) =
         let v =
           match vrr with
           | None -> None
-          | Some v -> Some (Option.map st (Vrr.route v ~src:s ~dst:t))
+          | Some v ->
+              Some
+                (Option.map st
+                   (Walk.path_of
+                      (Core.Dataplane.walk ~ttl:(Vrr.ttl_factor * n) tb.graph
+                         ~forward:(Vrr.forward v) ~src:s
+                         (Vrr.packet_header v ~src:s ~dst:t))))
         in
         ( st (Core.Disco.route_first ~heuristic tb.disco ~src:s ~dst:t),
           st (Core.Disco.route_later ~heuristic tb.disco ~src:s ~dst:t),

@@ -17,12 +17,7 @@ module type ROUTER = sig
 
   val forward : t -> Dataplane.header -> at:int -> Dataplane.decision
 
-  val oracle_first :
-    t -> tel:Telemetry.t -> src:int -> dst:int -> int list option
-
-  val oracle_later :
-    t -> tel:Telemetry.t -> src:int -> dst:int -> int list option
-
+  val oracle : (t -> src:int -> dst:int -> int list * int list) option
   val state_entries : t -> int -> int
   val state_bytes : t -> int -> float
   val fork : t -> t

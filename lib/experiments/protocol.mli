@@ -8,21 +8,19 @@
     engine ({!module:Engine}), the figures, the bench harness and
     [disco-sim] all select schemes by registry name.
 
-    A scheme exposes two faces of the same protocol:
+    A scheme's route is its {e data plane}: a per-hop
+    {!val:ROUTER.forward} function plus the headers sources emit. The
+    shared walker ({!module:Walk}) executes it hop by hop; the
+    sampled-pairs engine, the figures and disco-check measure those walks.
 
-    - a {e data plane} — a per-hop {!val:ROUTER.forward} function plus the
-      headers sources emit. The shared walker ({!module:Walk}) executes it
-      hop by hop; the sampled-pairs engine measures it.
-    - two {e oracles} — {!val:ROUTER.oracle_first}/{!val:ROUTER.oracle_later},
-      the closed-form route computations from the simulator's global view.
-      disco-check's walk ≡ oracle differential checks the data plane
-      against them.
-
-    The scheme modules' closed-form routes also produce figures, so
-    deleting an oracle means moving these to walks first:
+    Disco, NDDisco and S4 also keep a closed-form {!val:ROUTER.oracle}
+    from the simulator's global view. Their walks shortcut from what the
+    node holding the packet knows, so the oracle is computed
+    independently of [forward], and disco-check's walk ≡ oracle
+    differential holds the two to the same delivery verdict and weighted
+    length. The scheme modules' closed-form routes also produce figures:
     - [Metrics.stretch] builds fig3, fig4, fig5 and fig9 from
-      [Disco.route_first]/[route_later], [S4.route_first]/[route_later]
-      and [Vrr.route];
+      [Disco.route_first]/[route_later] and [S4.route_first]/[route_later];
     - [Metrics.mean_stretch_by_heuristic] builds fig6 from
       [Disco.route_later];
     - the [header] figure's heuristic table sizes [Disco.route_first]
@@ -81,17 +79,13 @@ module type ROUTER = sig
       lives in the header, so the walker — and disco-check — can replay
       and diff decisions freely. *)
 
-  val oracle_first :
-    t -> tel:Disco_util.Telemetry.t -> src:int -> dst:int -> int list option
-  (** The closed-form first-packet route from the global view. [None]
-      means the scheme cannot deliver (e.g. BVR stuck in a local minimum).
-      Must agree with walking {!forward} from {!first_header} on delivery
-      and weighted length (node sequences may differ only for schemes
-      whose shortcutting can divert at several equivalent points). *)
-
-  val oracle_later :
-    t -> tel:Disco_util.Telemetry.t -> src:int -> dst:int -> int list option
-  (** Same contract versus {!later_header} walks. *)
+  val oracle : (t -> src:int -> dst:int -> int list * int list) option
+  (** The closed-form (first-packet, post-handshake) routes from the
+      global view: [Some] only for disco, nddisco and s4. Each must agree
+      with walking {!forward} from {!first_header} (resp.
+      {!later_header}) on delivery and weighted length; node sequences
+      may differ, because the shortcuts can divert at several equivalent
+      points. *)
 
   val state_entries : t -> int -> int
   (** Data-plane routing-table entries at one node, per the paper's
@@ -107,8 +101,8 @@ module type ROUTER = sig
   (** A query handle that can route and forward concurrently with the
       original from another domain: shared converged state is immutable
       and may alias, but any query-time mutable scratch must either be
-      private to the returned handle (the path-vector oracle forks its
-      SSSP memo and workspace) or live behind {!Disco_util.Pool.Memo} (the
+      private to the returned handle (path vector's fork gets a fresh SSSP
+      memo and workspace for its headers) or live behind {!Disco_util.Pool.Memo} (the
       demand-filled landmark/vicinity/ball/tree caches in Disco, NDDisco,
       S4, Seattle and TZ, whose cross-pair amortization is the point of
       sharing). Fork is therefore the identity for every adapter except
@@ -122,7 +116,7 @@ module type ROUTER = sig
       arrays so [fstep] is array indexing with no allocation per hop
       ({!Disco_core.Dataplane.fast_walk} runs it).  [fprime ~src ~dst]
       forces any lazily-built per-flow state at setup time.  The typed
-      {!forward} stays the oracle: disco-check's fast≡typed differential
+      {!forward} stays the reference: disco-check's fast≡typed differential
       holds the two walkers to the same hop sequence and verdict. *)
 end
 

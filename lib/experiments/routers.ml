@@ -9,11 +9,12 @@ module D = Core.Dataplane
 let bvr_purpose = 41
 let tz_purpose = 43
 
-(* Every oracle below uses the forward-only [To_destination] shortcut
-   heuristic where one applies: the data plane diverts from knowledge at
-   the node actually holding the packet, so only forward-direction
-   shortcuts are comparable hop for hop (the paper's stretch bounds hold a
-   fortiori — To_destination never lengthens the raw route). *)
+(* The three oracles below use the forward-only [To_destination] shortcut
+   heuristic: the data plane diverts from knowledge at the node actually
+   holding the packet, so only forward-direction shortcuts are comparable
+   hop for hop (the paper's stretch bounds hold a fortiori —
+   To_destination never lengthens the raw route). The other five schemes
+   have no oracle: their closed forms would only replay [forward]. *)
 
 module Disco_router = struct
   type t = Core.Disco.t
@@ -27,15 +28,12 @@ module Disco_router = struct
   let later_header t ~tel:_ ~src ~dst = Core.Forwarding.later_header t ~src ~dst
   let forward = Core.Forwarding.forward
 
-  let oracle_first t ~tel:_ ~src ~dst =
+  let oracle =
+    let heuristic = Core.Shortcut.To_destination in
     Some
-      (Core.Disco.route_first ~heuristic:Core.Shortcut.To_destination t ~src
-         ~dst)
-
-  let oracle_later t ~tel:_ ~src ~dst =
-    Some
-      (Core.Disco.route_later ~heuristic:Core.Shortcut.To_destination t ~src
-         ~dst)
+      (fun t ~src ~dst ->
+        ( Core.Disco.route_first ~heuristic t ~src ~dst,
+          Core.Disco.route_later ~heuristic t ~src ~dst ))
 
   let state_entries t v =
     Core.Disco.total_entries (Core.Disco.state_entries t v)
@@ -71,15 +69,12 @@ module Nddisco_router = struct
 
   let forward t h ~at = Core.Forwarding.forward_nd t.nd h ~at
 
-  let oracle_first t ~tel:_ ~src ~dst =
+  let oracle =
+    let heuristic = Core.Shortcut.To_destination in
     Some
-      (Core.Nddisco.route_first ~heuristic:Core.Shortcut.To_destination t.nd
-         ~src ~dst)
-
-  let oracle_later t ~tel:_ ~src ~dst =
-    Some
-      (Core.Nddisco.route_later ~heuristic:Core.Shortcut.To_destination t.nd
-         ~src ~dst)
+      (fun t ~src ~dst ->
+        ( Core.Nddisco.route_first ~heuristic t.nd ~src ~dst,
+          Core.Nddisco.route_later ~heuristic t.nd ~src ~dst ))
 
   let state_entries t v =
     let resolution_entries = Core.Resolution.entries_at t.resolution v in
@@ -139,8 +134,11 @@ module S4_router = struct
   let first_header t ~tel:_ ~src ~dst = S4.first_header t.s4 ~src ~dst
   let later_header t ~tel:_ ~src ~dst = S4.later_header t.s4 ~src ~dst
   let forward t h ~at = S4.forward t.s4 h ~at
-  let oracle_first t ~tel:_ ~src ~dst = Some (S4.route_first t.s4 ~src ~dst)
-  let oracle_later t ~tel:_ ~src ~dst = Some (S4.route_later t.s4 ~src ~dst)
+
+  let oracle =
+    Some
+      (fun t ~src ~dst ->
+        (S4.route_first t.s4 ~src ~dst, S4.route_later t.s4 ~src ~dst))
 
   let state_entries t v =
     let cluster_sizes, resolution_loads = Lazy.force t.sizes in
@@ -176,8 +174,7 @@ module Vrr_router = struct
   let first_header t ~tel:_ ~src ~dst = Vrr.packet_header t.vrr ~src ~dst
   let later_header = first_header
   let forward t h ~at = Vrr.forward t.vrr h ~at
-  let oracle_first t ~tel:_ ~src ~dst = Vrr.route t.vrr ~src ~dst
-  let oracle_later = oracle_first
+  let oracle = None
   let state_entries t v = t.state.(v)
   let state_bytes t v = Vrr.state_bytes t.vrr v
   let fork t = t
@@ -205,8 +202,7 @@ module Bvr_router = struct
   let first_header t ~tel:_ ~src ~dst = Bvr.packet_header t ~src ~dst
   let later_header = first_header
   let forward = Bvr.forward
-  let oracle_first t ~tel:_ ~src ~dst = Bvr.route t ~src ~dst
-  let oracle_later = oracle_first
+  let oracle = None
   let state_entries t v = Bvr.state_entries t v
   let state_bytes t v = Bvr.state_bytes t v
   let fork t = t
@@ -231,8 +227,7 @@ module Seattle_router = struct
   let first_header t ~tel:_ ~src ~dst = Seattle.first_header t ~src ~dst
   let later_header t ~tel:_ ~src ~dst = Seattle.later_header t ~src ~dst
   let forward = Seattle.forward
-  let oracle_first t ~tel:_ ~src ~dst = Some (Seattle.route_first t ~src ~dst)
-  let oracle_later t ~tel:_ ~src ~dst = Some (Seattle.route_later t ~src ~dst)
+  let oracle = None
   let state_entries t v = Seattle.state_entries t v
   let state_bytes t v = Seattle.state_bytes t v
   let fork t = t
@@ -266,8 +261,7 @@ module Tz_router = struct
   let first_header t ~tel:_ ~src ~dst = Tz.packet_header t ~src ~dst
   let later_header = first_header
   let forward = Tz.forward
-  let oracle_first t ~tel:_ ~src ~dst = Tz.route t ~src ~dst
-  let oracle_later = oracle_first
+  let oracle = None
   let state_entries t v = Tz.state t v
   let state_bytes t v = Tz.state_bytes t v
   let fork t = t
@@ -279,8 +273,8 @@ end
 
 module Pathvector_router = struct
   (* Converged path vector holds a shortest path to every destination, so
-     routing is a shortest-path oracle; one SSSP is cached per source
-     because the engine samples destinations grouped by source. *)
+     the source's header is its shortest path; one SSSP is cached per
+     source because the engine samples destinations grouped by source. *)
   type t = {
     graph : Graph.t;
     ws : Dijkstra.workspace;
@@ -313,8 +307,7 @@ module Pathvector_router = struct
 
   (* The source's FIB supplies the whole explicit route; the data plane is
      pure label consumption. An unreachable destination leaves the label
-     list empty and the walker drops at the source, matching the oracle's
-     [None]. *)
+     list empty and the walker drops at the source. *)
   let first_header t ~tel ~src ~dst =
     let sp = sssp t ~tel src in
     if src = dst || sp.Dijkstra.dist.(dst) = infinity then D.plain ~dst D.Carry
@@ -336,16 +329,7 @@ module Pathvector_router = struct
           (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
           D.Drop (D.Protocol_error "pathvector: foreign header phase")
 
-  let oracle_first t ~tel ~src ~dst =
-    let sp = sssp t ~tel src in
-    if sp.Dijkstra.dist.(dst) = infinity then None
-    else
-      Some
-        (Dijkstra.path_of_parents
-           ~parent:(fun u -> sp.Dijkstra.parent.(u))
-           ~src ~dst)
-
-  let oracle_later = oracle_first
+  let oracle = None
   let state_entries t _ = Graph.n t.graph - 1
 
   (* A converged path-vector FIB holds (next hop, distance) per

@@ -5,9 +5,9 @@
     {!Protocol.ROUTER.forward} hop by hop under the scheme's TTL budget,
     record the walk on the telemetry (walk/delivery/hop/rewrite/byte
     counters, plus a resolution fallback when the trace shows one), and
-    return the result. The closed-form route computations remain available
-    as {!Protocol.ROUTER.oracle_first}/[oracle_later] — disco-check diffs
-    the two; everything user-facing routes through here. *)
+    return the result. Disco, NDDisco and S4 also keep a closed-form
+    {!Protocol.ROUTER.oracle}, which disco-check diffs against their
+    walks; everything user-facing routes through here. *)
 
 val first_trace :
   (module Protocol.ROUTER with type t = 'a) ->
@@ -48,6 +48,9 @@ val later :
   src:int ->
   dst:int ->
   int list option
+
+val path_of : Disco_core.Dataplane.trace -> int list option
+(** The walk's node path when delivered, [None] otherwise. *)
 
 val fell_back : Disco_core.Dataplane.trace -> bool
 (** Did the walk include a resolution-database detour

@@ -118,7 +118,6 @@ let neighbor_rank t u v =
 
 let edge_weight t u v = Option.map (fun slot -> t.wgt.(slot)) (find_slot t u v)
 let edge_index t u v = find_slot t u v
-let arc_count t = 2 * t.m
 
 let arc_endpoints t idx =
   if idx < 0 || idx >= t.row.(t.n) then invalid_arg "Graph.arc_endpoints";
@@ -160,9 +159,6 @@ let is_connected t =
   in
   loop ();
   !count = t.n
-
-let total_weight t =
-  List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 (edges t)
 
 let max_degree t =
   let best = ref 0 in

@@ -71,9 +71,6 @@ val edge_index : t -> int -> int -> int option
 (** Dense id in [0, 2m) of the directed arc [u -> v]; arcs [u->v] and
     [v->u] have distinct ids. Used by congestion counters. *)
 
-val arc_count : t -> int
-(** [2 * m g]. *)
-
 val arc_endpoints : t -> int -> int * int
 (** Inverse of {!edge_index}: [(u, v)] for a directed arc id. *)
 
@@ -81,7 +78,5 @@ val edges : t -> (int * int * float) list
 (** Each undirected edge once, with [u < v]. *)
 
 val is_connected : t -> bool
-
-val total_weight : t -> float
 
 val max_degree : t -> int

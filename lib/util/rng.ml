@@ -74,7 +74,3 @@ let sample_without_replacement t k n =
     done;
     out
   end
-
-let exponential t lambda =
-  let u = 1.0 -. float t 1.0 in
-  -.log u /. lambda

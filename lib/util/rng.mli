@@ -45,6 +45,3 @@ val shuffle : t -> 'a array -> unit
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct ints from
     [0, n). Requires [k <= n]. Output order is unspecified. *)
-
-val exponential : t -> float -> float
-(** [exponential t lambda] draws from Exp(lambda). *)

@@ -55,17 +55,3 @@ let cdf_points samples k =
         (sorted.(idx), float_of_int rank /. float_of_int n))
       pick
   end
-
-let histogram a ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins";
-  let s = summarize a in
-  let lo = s.min and hi = s.max in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = int_of_float ((x -. lo) /. width) in
-      let b = max 0 (min (bins - 1) b) in
-      counts.(b) <- counts.(b) + 1)
-    a;
-  Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts

@@ -27,6 +27,3 @@ val mean : float array -> float
 val cdf_points : float array -> int -> (float * float) list
 (** [cdf_points samples k] returns up to [k] [(value, fraction <= value)]
     points of the empirical CDF, suitable for printing a figure series. *)
-
-val histogram : float array -> bins:int -> (float * int) array
-(** Equal-width histogram: [(bin_left_edge, count)] per bin. *)

@@ -22,6 +22,11 @@ let check_path graph ~src ~dst path =
 
 let path_len graph path = Dijkstra.path_length graph path
 
+(* Walk a scheme's typed [forward] from the header its source emits: the
+   node path when the packet is delivered, [None] when it is dropped. *)
+let walk ?ttl graph ~forward ~src header =
+  Disco_experiments.Walk.path_of (Disco_core.Dataplane.walk ?ttl graph ~forward ~src header)
+
 (* Small random connected graph for property tests. *)
 let random_graph ?(n_min = 8) ?(n_max = 64) seed =
   let rng = Rng.create seed in

@@ -36,6 +36,9 @@ let test_bvr_coordinates_are_distances () =
   Alcotest.(check int) "exactly the beacons have a zero component"
     (Bvr.beacon_count bvr) !zeroes
 
+let bvr_route g bvr ~src ~dst =
+  Helpers.walk g ~forward:(Bvr.forward bvr) ~src (Bvr.packet_header bvr ~src ~dst)
+
 let test_bvr_routes_valid () =
   let g, bvr = bvr_build 7 in
   let n = Graph.n g in
@@ -44,7 +47,7 @@ let test_bvr_routes_valid () =
     for t = 0 to n - 1 do
       if s <> t then begin
         incr total;
-        match Bvr.route bvr ~src:s ~dst:t with
+        match bvr_route g bvr ~src:s ~dst:t with
         | Some p ->
             incr delivered;
             Helpers.check_path g ~src:s ~dst:t p
@@ -68,8 +71,8 @@ let test_bvr_state_small () =
   done
 
 let test_bvr_self_route () =
-  let _, bvr = bvr_build 11 in
-  Alcotest.(check bool) "self" true (Bvr.route bvr ~src:4 ~dst:4 = Some [ 4 ])
+  let g, bvr = bvr_build 11 in
+  Alcotest.(check bool) "self" true (bvr_route g bvr ~src:4 ~dst:4 = Some [ 4 ])
 
 (* --- SEATTLE -------------------------------------------------------------- *)
 
@@ -78,6 +81,15 @@ let seattle_build seed =
   let names = Name.default_array (Graph.n g) in
   (g, Seattle.build g ~names)
 
+(* SEATTLE guarantees delivery: a dropped walk fails the test. *)
+let seattle_walk g st ~src header =
+  match Helpers.walk g ~forward:(Seattle.forward st) ~src header with
+  | Some p -> p
+  | None -> Alcotest.failf "seattle dropped a packet from %d" src
+
+let route_first g st ~src ~dst = seattle_walk g st ~src (Seattle.first_header st ~src ~dst)
+let route_later g st ~src ~dst = seattle_walk g st ~src (Seattle.later_header st ~src ~dst)
+
 let test_seattle_later_is_shortest () =
   let g, st = seattle_build 13 in
   let oracle = Helpers.floyd g in
@@ -85,7 +97,7 @@ let test_seattle_later_is_shortest () =
   for s = 0 to min 12 (n - 1) do
     for t = 0 to min 12 (n - 1) do
       if s <> t then begin
-        let p = Seattle.route_later st ~src:s ~dst:t in
+        let p = route_later g st ~src:s ~dst:t in
         Helpers.check_path g ~src:s ~dst:t p;
         Alcotest.(check bool) "shortest" true
           (Float.abs (Helpers.path_len g p -. oracle.(s).(t)) < 1e-9)
@@ -100,7 +112,7 @@ let test_seattle_first_via_resolver () =
   for s = 0 to min 12 (n - 1) do
     for t = 0 to min 12 (n - 1) do
       if s <> t then begin
-        let p = Seattle.route_first st ~src:s ~dst:t in
+        let p = route_first g st ~src:s ~dst:t in
         Helpers.check_path g ~src:s ~dst:t p;
         let r = Seattle.resolver_of st t in
         let expected =
@@ -135,7 +147,7 @@ let test_seattle_first_stretch_unbounded_somewhere () =
     for s = 0 to n - 1 do
       for t = 0 to n - 1 do
         if s <> t && oracle.(s).(t) > 0.0 then begin
-          let p = Seattle.route_first st ~src:s ~dst:t in
+          let p = route_first g st ~src:s ~dst:t in
           if Helpers.path_len g p /. oracle.(s).(t) > 3.0 then found := true
         end
       done

@@ -22,10 +22,10 @@ let test_bounded_run_passes () =
 
 (* A router that routes correctly but takes a pointless neighbor bounce on
    the first packet, paired with a spec that (correctly) brands it
-   stretch-1: disco-check must convict it. Its data plane replays the
-   oracle route label by label (delivering only when the labels run out,
-   so the bounce is walked in full), keeping walk ≡ oracle clean — the
-   stretch bound is the only invariant it breaks. *)
+   stretch-1: disco-check must convict it. Its data plane consumes the
+   detour label by label (delivering only when the labels run out, so the
+   bounce is walked in full) — the stretch bound is the only invariant it
+   breaks. *)
 module Detour_router = struct
   module D = Disco_core.Dataplane
 
@@ -54,8 +54,7 @@ module Detour_router = struct
         let nbr, _ = Graph.nth_neighbor t.graph src 0 in
         Some (src :: nbr :: path)
 
-  let oracle_first t ~tel:_ ~src ~dst = detour t ~src ~dst
-  let oracle_later t ~tel:_ ~src ~dst = shortest t ~src ~dst
+  let oracle = None
   let ttl_factor = 4
 
   let header_of ~dst = function

@@ -106,7 +106,7 @@ let test_pinned_fastpath_green () =
 
 (* An honest typed carry router whose compiled face drops the final
    label: the fast walk stops one hop short of every delivery.  Only the
-   fastpath differential can see this — oracle, stretch and walk checks
+   fastpath differential can see this — delivery, stretch and walk checks
    all pass. *)
 module Lame_fast_router = struct
   module D = Disco_core.Dataplane
@@ -129,8 +129,7 @@ module Lame_fast_router = struct
            ~parent:(fun v -> sp.Dijkstra.parent.(v))
            ~src ~dst)
 
-  let oracle_first t ~tel:_ ~src ~dst = shortest t ~src ~dst
-  let oracle_later t ~tel:_ ~src ~dst = shortest t ~src ~dst
+  let oracle = None
   let ttl_factor = 4
 
   let header_of ~dst = function

@@ -11,7 +11,6 @@ let test_counts () =
   let g = triangle () in
   Alcotest.(check int) "n" 3 (Graph.n g);
   Alcotest.(check int) "m" 3 (Graph.m g);
-  Alcotest.(check int) "arcs" 6 (Graph.arc_count g);
   Alcotest.(check int) "degree" 2 (Graph.degree g 0)
 
 let test_self_loop_rejected () =
@@ -85,9 +84,6 @@ let test_connectivity () =
   Graph.Builder.add_edge b 2 3 1.0;
   Alcotest.(check bool) "two components" false (Graph.is_connected (Graph.Builder.build b))
 
-let test_total_weight () =
-  Alcotest.(check (float 1e-9)) "sum" 7.0 (Graph.total_weight (triangle ()))
-
 let test_fold_neighbors () =
   let g = triangle () in
   let sum = Graph.fold_neighbors g 0 ~init:0.0 ~f:(fun acc _ w -> acc +. w) in
@@ -128,7 +124,6 @@ let suite =
     Alcotest.test_case "edges listed once" `Quick test_edges_once;
     Alcotest.test_case "arc endpoints inverse" `Quick test_arc_endpoints_inverse;
     Alcotest.test_case "connectivity" `Quick test_connectivity;
-    Alcotest.test_case "total weight" `Quick test_total_weight;
     Alcotest.test_case "fold neighbors" `Quick test_fold_neighbors;
     prop_degree_sum;
     prop_rank_roundtrip;

@@ -76,6 +76,9 @@ let scoping () =
     "L2 in hashing" true
     (List.mem "L2" (rules_of (Driver.lint_source ~path:"lib/hashing/x.ml" poly)));
   Alcotest.(check bool)
+    "L2 in dynamic" true
+    (List.mem "L2" (rules_of (Driver.lint_source ~path:"lib/dynamic/x.ml" poly)));
+  Alcotest.(check bool)
     "no L2 in experiments" false
     (List.mem "L2"
        (rules_of (Driver.lint_source ~path:"lib/experiments/x.ml" poly)));

@@ -91,12 +91,6 @@ let test_copy_freezes_state () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
 
-let test_exponential_positive () =
-  let rng = Rng.create 27 in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "positive" true (Rng.exponential rng 2.0 >= 0.0)
-  done
-
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -111,5 +105,4 @@ let suite =
     Alcotest.test_case "sample dense case" `Quick test_sample_dense;
     Alcotest.test_case "split independence" `Quick test_split_independent;
     Alcotest.test_case "copy freezes state" `Quick test_copy_freezes_state;
-    Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
   ]

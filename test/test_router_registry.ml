@@ -19,6 +19,10 @@ let testbed =
 let expected_names =
   [ "pathvector"; "seattle"; "bvr"; "vrr"; "s4"; "nddisco"; "disco"; "tz" ]
 
+(* The schemes that keep a closed-form oracle: disco-check's walk ≡ oracle
+   differential runs on exactly these, so it cannot quietly go empty. *)
+let expected_oracles = [ "s4"; "nddisco"; "disco" ]
+
 let test_registry_contents () =
   let names = Routers.names () in
   Alcotest.(check (list string)) "all built-in schemes registered" expected_names names;
@@ -28,7 +32,13 @@ let test_registry_contents () =
       | Some p -> Alcotest.(check string) "find returns the right module" name (Protocol.name_of p)
       | None -> Alcotest.failf "Routers.find %S returned None" name)
     names;
-  Alcotest.(check bool) "find on a junk name misses" true (Routers.find "nonesuch" = None)
+  Alcotest.(check bool) "find on a junk name misses" true (Routers.find "nonesuch" = None);
+  Alcotest.(check (list string)) "schemes with an oracle" expected_oracles
+    (List.filter_map
+       (fun p ->
+         let module R = (val p : Protocol.ROUTER) in
+         Option.map (fun _ -> R.name) R.oracle)
+       (Routers.all ()))
 
 let test_duplicate_rejected () =
   let disco = Routers.find_exn "disco" in
@@ -80,10 +90,10 @@ let check_fast_path_alloc_free (type a) (module R : Protocol.ROUTER with type t 
     Alcotest.failf "%s: fast path allocated %.0f words over %d packets" R.name
       words (Array.length packets)
 
-(* One pass over sampled pairs per router, through both faces of the
-   contract: walked data-plane paths and oracle routes are all valid and
-   no faster than the shortest path; then the same pairs through the
-   compiled face. *)
+(* One pass over sampled pairs per router: walked data-plane paths and,
+   where the scheme keeps one, oracle routes are all valid and no faster
+   than the shortest path; then the same pairs through the compiled
+   face. *)
 let check_router packed () =
   let module R = (val packed : Protocol.ROUTER) in
   let module Walk = Disco_experiments.Walk in
@@ -122,8 +132,10 @@ let check_router packed () =
           [
             ("walk-first", fun rt -> Walk.first (module R) rt ~graph:g);
             ("walk-later", fun rt -> Walk.later (module R) rt ~graph:g);
-            ("oracle-first", R.oracle_first);
-            ("oracle-later", R.oracle_later);
+            ( "oracle-first",
+              fun rt ~tel:_ ~src ~dst -> Option.map (fun o -> fst (o rt ~src ~dst)) R.oracle );
+            ( "oracle-later",
+              fun rt ~tel:_ ~src ~dst -> Option.map (fun o -> snd (o rt ~src ~dst)) R.oracle );
           ]
       end
     done

@@ -40,12 +40,6 @@ let test_cdf_points_monotone () =
 
 let test_cdf_empty () = Alcotest.(check bool) "empty" true (Stats.cdf_points [||] 5 = [])
 
-let test_histogram () =
-  let h = Stats.histogram [| 0.0; 0.1; 0.9; 1.0 |] ~bins:2 in
-  Alcotest.(check int) "bins" 2 (Array.length h);
-  let total = Array.fold_left (fun acc (_, c) -> acc + c) 0 h in
-  Alcotest.(check int) "all samples counted" 4 total
-
 let test_mean_empty () = Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Stats.mean [||])
 
 let prop_percentile_bounds =
@@ -65,7 +59,6 @@ let suite =
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "cdf monotone" `Quick test_cdf_points_monotone;
     Alcotest.test_case "cdf empty" `Quick test_cdf_empty;
-    Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "mean empty" `Quick test_mean_empty;
     prop_percentile_bounds;
   ]

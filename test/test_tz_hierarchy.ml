@@ -6,6 +6,12 @@ let build ?(k = 2) seed =
   let g = Helpers.random_weighted_graph seed in
   (g, Tz.build ~rng:(Rng.create seed) ~k g)
 
+(* Length of the route the data plane takes; infinite when it drops. *)
+let route_length g tz ~src ~dst =
+  match Helpers.walk g ~forward:(Tz.forward tz) ~src (Tz.packet_header tz ~src ~dst) with
+  | Some p -> Helpers.path_len g p
+  | None -> infinity
+
 let test_levels_nested () =
   let g, tz = build ~k:3 5 in
   let sizes = Tz.level_sizes tz in
@@ -26,7 +32,7 @@ let test_k1_is_shortest_path () =
         Alcotest.(check bool)
           (Printf.sprintf "%d-%d exact" s t)
           true
-          (Float.abs (Tz.route_length tz ~src:s ~dst:t -. oracle.(s).(t)) < 1e-9)
+          (Float.abs (route_length g tz ~src:s ~dst:t -. oracle.(s).(t)) < 1e-9)
     done
   done;
   for v = 0 to n - 1 do
@@ -42,7 +48,7 @@ let stretch_ok k seed =
   for s = 0 to n - 1 do
     for t = 0 to n - 1 do
       if s <> t && oracle.(s).(t) < infinity then begin
-        let r = Tz.route_length tz ~src:s ~dst:t in
+        let r = route_length g tz ~src:s ~dst:t in
         if r < oracle.(s).(t) -. 1e-9 then ok := false (* impossible: shorter than shortest *)
         ;
         if r > (Tz.stretch_bound tz *. oracle.(s).(t)) +. 1e-9 then ok := false
@@ -59,6 +65,37 @@ let prop_stretch_k3 =
 
 let prop_stretch_k4 =
   Helpers.qtest "k=4 stretch <= 7" ~count:10 Helpers.seed_arb (fun seed -> stretch_ok 4 seed)
+
+(* The walk climbs to the header's waypoint w and descends from it, both
+   along shortest paths, and delivers only at the end of the descent: its
+   length is exactly d(s, w) + d(w, t). A packet that delivered early,
+   riding through its destination on the way up to w, falls short. *)
+let via_waypoint_ok seed =
+  let g = Helpers.random_weighted_graph seed in
+  let oracle = Helpers.floyd g in
+  let n = Graph.n g in
+  List.for_all
+    (fun k ->
+      let tz = Tz.build ~rng:(Rng.create seed) ~k g in
+      let ok = ref true in
+      for s = 0 to n - 1 do
+        for t = 0 to n - 1 do
+          if s <> t && oracle.(s).(t) < infinity then begin
+            let w = (Tz.packet_header tz ~src:s ~dst:t).Disco_core.Dataplane.waypoint in
+            if
+              w < 0
+              || Float.abs
+                   (route_length g tz ~src:s ~dst:t -. (oracle.(s).(w) +. oracle.(w).(t)))
+                 > 1e-9
+            then ok := false
+          end
+        done
+      done;
+      !ok)
+    [ 2; 3; 4 ]
+
+let prop_walk_via_waypoint =
+  Helpers.qtest "walk length = d(s,w) + d(w,t)" ~count:10 Helpers.seed_arb via_waypoint_ok
 
 let test_state_shrinks_with_k () =
   (* On a larger graph, mean state must drop as k grows (the tradeoff). *)
@@ -87,8 +124,8 @@ let test_bunch_definition () =
     for w = 0 to min 14 (n - 1) do
       if v <> w && Tz.in_bunch tz ~node:v ~target:w then
         (* Being in the bunch means the stored distance is the true one;
-           verified indirectly: route via w's own bunch entry is >= true
-           shortest and route_length never undercuts (checked above). *)
+           verified indirectly: a walk via w is >= true shortest and never
+           undercuts it (checked above). *)
         Alcotest.(check bool) "bunch dist sanity" true (oracle.(v).(w) < infinity)
     done
   done
@@ -100,6 +137,7 @@ let suite =
     prop_stretch_k2;
     prop_stretch_k3;
     prop_stretch_k4;
+    prop_walk_via_waypoint;
     Alcotest.test_case "state shrinks with k" `Quick test_state_shrinks_with_k;
     Alcotest.test_case "bunch definition" `Quick test_bunch_definition;
   ]

@@ -49,6 +49,10 @@ let test_ring_invariant () =
   let _, v = build ~seed:7 () in
   Alcotest.(check bool) "every final pair has a path" true (Vrr.ring_distance_ok v)
 
+let route g v ~src ~dst =
+  Helpers.walk ~ttl:(Vrr.ttl_factor * Graph.n g) g ~forward:(Vrr.forward v) ~src
+    (Vrr.packet_header v ~src ~dst)
+
 let test_routing_succeeds () =
   let g, v = build ~seed:9 ~n:80 () in
   let n = Graph.n g in
@@ -56,7 +60,7 @@ let test_routing_succeeds () =
   for s = 0 to n - 1 do
     let t = (s + 17) mod n in
     if s <> t then begin
-      match Vrr.route v ~src:s ~dst:t with
+      match route g v ~src:s ~dst:t with
       | Some p -> Helpers.check_path g ~src:s ~dst:t p
       | None -> incr failures
     end
@@ -64,8 +68,8 @@ let test_routing_succeeds () =
   Alcotest.(check int) "no failures" 0 !failures
 
 let test_route_self () =
-  let _, v = build ~seed:11 () in
-  Alcotest.(check bool) "self" true (Vrr.route v ~src:5 ~dst:5 = Some [ 5 ])
+  let g, v = build ~seed:11 () in
+  Alcotest.(check bool) "self" true (route g v ~src:5 ~dst:5 = Some [ 5 ])
 
 let test_state_entries_floor () =
   let g, v = build ~seed:13 () in
