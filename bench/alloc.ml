@@ -4,8 +4,11 @@
    L7 discipline: the typed pass proves the hop loop calls no allocating
    helper it didn't waive; this reports what the waived allocations —
    trace recording, per-walk setup, the schemes' header rewrites — cost in
-   minor words per hop.  `--json FILE` snapshots the table (BENCH_alloc.json
-   keeps the committed baseline). *)
+   minor words per hop.  One more row, dynamic/query, measures the
+   event-driven protocol's `Network.route` on a converged network, where
+   each resolving decision looks up its owner on the shared ring.
+   `--json FILE` snapshots the table (BENCH_alloc.json keeps the committed
+   baseline). *)
 
 module Testbed = Disco_experiments.Testbed
 module Routers = Disco_experiments.Routers
@@ -14,6 +17,8 @@ module Scale = Disco_experiments.Scale
 module Telemetry = Disco_util.Telemetry
 module Json = Disco_util.Json
 module Graph = Disco_graph.Graph
+module Rng = Disco_util.Rng
+module Network = Disco_dynamic.Network
 module D = Disco_core.Dataplane
 
 type row = {
@@ -26,17 +31,35 @@ type row = {
   words_per_walk : float;
 }
 
-(* Sampled source-destination pairs, deterministic in the testbed seed. *)
-let sample_pairs tb ~count =
-  let rng = Testbed.rng tb ~purpose:71 in
-  let n = Graph.n tb.Testbed.graph in
+(* Sampled source-destination pairs over [0, n), deterministic in [rng]. *)
+let sample_pairs rng ~n ~count =
   List.init count (fun _ ->
-      let s = Disco_util.Rng.int rng n in
+      let s = Rng.int rng n in
       let rec draw () =
-        let d = Disco_util.Rng.int rng n in
+        let d = Rng.int rng n in
         if d = s then draw () else d
       in
       (s, draw ()))
+
+(* A warm-up pass of [one] (hops of one walk) over [pairs] populates lazy
+   caches (pivot trees, resolver state), so the measured second pass sees
+   steady-state allocation only. *)
+let measure ~scheme ~kind ~pairs one =
+  ignore (List.fold_left one 0 pairs : int);
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  let hops = List.fold_left one 0 pairs in
+  let minor_words = Gc.minor_words () -. before in
+  let walks = List.length pairs in
+  {
+    scheme;
+    kind;
+    walks;
+    hops;
+    minor_words;
+    words_per_hop = (if hops = 0 then 0.0 else minor_words /. float_of_int hops);
+    words_per_walk = minor_words /. float_of_int walks;
+  }
 
 let measure_kind (type a) (module R : Protocol.ROUTER with type t = a) (rt : a)
     ~graph ~kind ~pairs =
@@ -47,27 +70,9 @@ let measure_kind (type a) (module R : Protocol.ROUTER with type t = a) (rt : a)
     | "first" -> fun ~src ~dst -> R.first_header rt ~tel ~src ~dst
     | _ -> fun ~src ~dst -> R.later_header rt ~tel ~src ~dst
   in
-  let one acc (src, dst) =
-    let tr = D.walk ~ttl graph ~forward:(R.forward rt) ~src (header ~src ~dst) in
-    acc + tr.D.hops
-  in
-  (* Warm-up pass: populate lazy per-scheme caches (pivot trees, resolver
-     state) so the measured pass sees steady-state allocation only. *)
-  ignore (List.fold_left one 0 pairs : int);
-  Gc.full_major ();
-  let before = Gc.minor_words () in
-  let hops = List.fold_left one 0 pairs in
-  let minor_words = Gc.minor_words () -. before in
-  let walks = List.length pairs in
-  {
-    scheme = R.name;
-    kind;
-    walks;
-    hops;
-    minor_words;
-    words_per_hop = (if hops = 0 then 0.0 else minor_words /. float_of_int hops);
-    words_per_walk = minor_words /. float_of_int walks;
-  }
+  measure ~scheme:R.name ~kind ~pairs (fun acc (src, dst) ->
+      let tr = D.walk ~ttl graph ~forward:(R.forward rt) ~src (header ~src ~dst) in
+      acc + tr.D.hops)
 
 let measure_scheme tb ~pairs (p : Protocol.packed) =
   let (module R) = p in
@@ -77,6 +82,22 @@ let measure_scheme tb ~pairs (p : Protocol.packed) =
     measure_kind (module R) rt ~graph ~kind:"first" ~pairs;
     measure_kind (module R) rt ~graph ~kind:"later" ~pairs;
   ]
+
+(* Network.route on G(128, 512) after a 300 s cold start, whatever the
+   scale: the event-driven cold start grows about n^2.  Hops are those of
+   the delivered paths. *)
+let measure_dynamic ~seed ~walks =
+  let n = 128 in
+  let rng = Rng.create (Rng.derive seed 72) in
+  let graph = Disco_graph.Gen.gnm ~rng ~n ~m:(4 * n) in
+  let net = Network.create ~rng ~graph ~n_estimate:n () in
+  Network.activate_all net;
+  Network.run_until net 300.0;
+  let pairs = sample_pairs rng ~n ~count:walks in
+  measure ~scheme:"dynamic" ~kind:"query" ~pairs (fun acc (src, dst) ->
+      match Network.route net ~src ~dst with
+      | Some path -> acc + List.length path - 1
+      | None -> acc)
 
 let json_of_rows ~seed ~n ~walks rows =
   Json.to_string
@@ -164,8 +185,12 @@ let run ?json ?baseline ~seed scale =
     "\n== alloc: minor words per hop (Gc.minor_words, n=%d, %d walks/row) ==\n%!"
     n walks;
   let tb = Testbed.make ~seed Disco_graph.Gen.Geometric ~n in
-  let pairs = sample_pairs tb ~count:walks in
-  let rows = List.concat_map (measure_scheme tb ~pairs) (Routers.all ()) in
+  let pairs =
+    sample_pairs (Testbed.rng tb ~purpose:71) ~n:(Graph.n tb.Testbed.graph) ~count:walks
+  in
+  let rows =
+    List.concat_map (measure_scheme tb ~pairs) (Routers.all ()) @ [ measure_dynamic ~seed ~walks ]
+  in
   Printf.printf "  %-12s %-6s %8s %10s %14s %15s\n" "scheme" "kind" "walks"
     "hops" "words/hop" "words/walk";
   List.iter

@@ -1,5 +1,7 @@
 type address = { lm : int; lm_path : int list }
 
+let equal_address a b = Int.equal a.lm b.lm && List.equal Int.equal a.lm_path b.lm_path
+
 type t =
   | Hello
   | Route_ann of {
@@ -11,7 +13,6 @@ type t =
   | Route_withdraw of { dest : int }
   | Resolve_insert of {
       origin : int;
-      origin_name : string;
       addr : address;
       target_lm : int;
     }
@@ -21,11 +22,3 @@ type t =
       addr : address;
       sender_hash : Disco_hash.Hash_space.id;
     }
-
-let describe = function
-  | Hello -> "hello"
-  | Route_ann { dest; dist; _ } -> Printf.sprintf "route(%d, %.3f)" dest dist
-  | Route_withdraw { dest } -> Printf.sprintf "withdraw(%d)" dest
-  | Resolve_insert { origin; target_lm; _ } ->
-      Printf.sprintf "insert(%d -> lm %d)" origin target_lm
-  | Addr_gossip { origin; _ } -> Printf.sprintf "gossip(%d)" origin

@@ -11,6 +11,9 @@
 
 type address = { lm : int; lm_path : int list  (** landmark .. owner *) }
 
+val equal_address : address -> address -> bool
+(** Same landmark and same explicit route. *)
+
 type t =
   | Hello  (** neighbor liveness beacon *)
   | Route_ann of {
@@ -27,7 +30,6 @@ type t =
           slow count-to-infinity under soft-state expiry. *)
   | Resolve_insert of {
       origin : int;
-      origin_name : string;
       addr : address;
       target_lm : int;  (** owner landmark the insert is routed toward *)
     }
@@ -39,5 +41,3 @@ type t =
           (** directional rule: forward only away from the sender in hash
               space *)
     }
-
-val describe : t -> string

@@ -37,7 +37,6 @@ type addr_entry = {
 
 type node = {
   id : int;
-  name : string;
   hash : Hash_space.id;
   rng : Rng.t;
   mutable active : bool;
@@ -57,6 +56,7 @@ type t = {
   config : config;
   sim : Msg.t Sim.t;
   nodes : node array;
+  ring : Consistent_hash.t; (* every node's resolution points (§4.3) *)
 }
 
 let now t = Sim.time t.sim
@@ -202,21 +202,13 @@ let purge_addrs t nd =
 
 (* --- resolution and gossip --------------------------------------------- *)
 
-let known_landmarks nd =
-  Hashtbl.fold (fun dest r acc -> if r.r_is_lm then dest :: acc else acc) nd.routes
-    (if nd.is_lm then [ nd.id ] else [])
-
-let resolution_owner t nd key_name =
-  match known_landmarks nd with
-  | [] -> None
-  | lms ->
-      let owners = Array.of_list (List.sort Int.compare lms) in
-      let ring =
-        Consistent_hash.create
-          ~replicas:t.config.params.Params.resolution_replicas ~owners
-          ~owner_name:(fun lm -> t.nodes.(lm).name) ()
-      in
-      Some (Consistent_hash.owner_of_name ring key_name)
+(* The owner of [key] on the ring of the landmarks [nd] knows (itself
+   when it is one, and its landmark routes): the first of their points on
+   the shared ring from [key]'s successor on. *)
+let resolution_owner t nd key =
+  Consistent_hash.owner_among t.ring key ~member:(fun v ->
+      if v = nd.id then nd.is_lm
+      else match Hashtbl.find_opt nd.routes v with Some r -> r.r_is_lm | None -> false)
 
 let next_hop_toward nd dest =
   match Hashtbl.find_opt nd.routes dest with
@@ -245,7 +237,7 @@ let same_group nd origin_hash =
 let store_addr t nd ~origin ~addr =
   match Hashtbl.find_opt nd.addr_store origin with
   | Some e ->
-      let changed = e.a_addr <> addr in
+      let changed = not (Msg.equal_address e.a_addr addr) in
       e.a_addr <- addr;
       e.a_expires <- now t +. addr_ttl t;
       if changed || now t -. e.a_forwarded >= 0.9 *. t.config.addr_interval then begin
@@ -340,13 +332,12 @@ let rec addr_timer t v () =
     | None -> ()
     | Some addr -> (
         (* Insert at the resolution owner... *)
-        (match resolution_owner t nd nd.name with
+        (match resolution_owner t nd nd.hash with
         | Some owner when owner <> v -> (
             match next_hop_toward nd owner with
             | Some hop ->
                 Sim.send t.sim ~src:v ~dst:hop
-                  (Msg.Resolve_insert
-                     { origin = v; origin_name = nd.name; addr; target_lm = owner })
+                  (Msg.Resolve_insert { origin = v; addr; target_lm = owner })
             | None -> ())
         | Some _ ->
             (* We are the owner: store locally. *)
@@ -380,7 +371,7 @@ let handle t v ~src msg =
             Hashtbl.remove nd.routes dest;
             withdraw_route t nd dest
         | _ -> ())
-    | Msg.Resolve_insert { origin; origin_name; addr; target_lm } ->
+    | Msg.Resolve_insert { origin; addr; target_lm } ->
         if v = target_lm then begin
           Hashtbl.replace nd.res_store origin
             { a_addr = addr; a_expires = now t +. addr_ttl t; a_forwarded = now t };
@@ -413,14 +404,13 @@ let handle t v ~src msg =
                   (Msg.Addr_gossip
                      { origin = o; origin_hash = t.nodes.(o).hash; addr = a;
                        sender_hash = t.nodes.(origin).hash }))
-            candidates;
-          ignore origin_name
+            candidates
         end
         else begin
           match next_hop_toward nd target_lm with
           | Some hop ->
               Sim.send t.sim ~src:v ~dst:hop
-                (Msg.Resolve_insert { origin; origin_name; addr; target_lm })
+                (Msg.Resolve_insert { origin; addr; target_lm })
           | None -> () (* no route yet; the next periodic insert retries *)
         end
     | Msg.Addr_gossip { origin; origin_hash; addr; sender_hash } ->
@@ -440,11 +430,9 @@ let create ?(config = default_config) ~rng ~graph ~n_estimate () =
   let n = Graph.n graph in
   let nodes =
     Array.init n (fun id ->
-        let name = Name.default id in
         {
           id;
-          name;
-          hash = Name.hash name;
+          hash = Name.hash (Name.default id);
           rng = Rng.split rng;
           active = false;
           n_est = n_estimate;
@@ -458,7 +446,13 @@ let create ?(config = default_config) ~rng ~graph ~n_estimate () =
           fingers = [];
         })
   in
-  let t = { graph; config; sim = Sim.create ~graph (); nodes } in
+  (* Names never change, so neither do their ring points: one ring over
+     every node serves each node's own landmark set. *)
+  let ring =
+    Consistent_hash.create ~replicas:config.params.Params.resolution_replicas
+      ~owners:(Array.init n Fun.id) ~owner_name:Name.default ()
+  in
+  let t = { graph; config; sim = Sim.create ~graph (); nodes; ring } in
   Sim.set_handler t.sim (handle t);
   t
 
@@ -512,7 +506,8 @@ let carry nd (h : Dataplane.header) =
   if nd.id = h.dst then Dataplane.Deliver
   else
     match Hashtbl.find_opt nd.routes h.dst with
-    | Some { r_path = _ :: direct as path; _ } when direct <> h.labels ->
+    | Some { r_path = _ :: direct as path; _ }
+      when not (List.equal Int.equal direct h.labels) ->
         Dataplane.carry_along h path Dataplane.Shortcut_divert
     | _ -> Dataplane.label_hop h
 
@@ -538,7 +533,7 @@ let seek t nd (h : Dataplane.header) =
         match Hashtbl.find_opt nd.addr_store dst with
         | Some { a_addr; _ } -> carry_address nd h a_addr Dataplane.Group_store_hit
         | None -> (
-            match resolution_owner t nd t.nodes.(dst).name with
+            match resolution_owner t nd t.nodes.(dst).hash with
             | None -> Dataplane.Drop No_route
             | Some owner when owner = nd.id -> (
                 match Hashtbl.find_opt nd.res_store dst with

@@ -16,6 +16,12 @@
       owner (§4.3: "updated every t minutes and timed out after 2t+1"),
       and gossips it through its sloppy group with the directional
       forwarding rule of §4.4;
+    - a node resolves a name at the landmark whose ring point follows
+      the name's hash among the landmarks it knows (itself when it is
+      one, and its landmark routes). {!create} hashes one ring over every
+      node; the known landmarks' points are a subsequence of it in the
+      same order, so the first of them from the hash's successor on is
+      that landmark;
     - landmark status follows the factor-2 hysteresis rule when the
       (externally supplied) estimate of n changes.
 
@@ -44,7 +50,8 @@ val create :
   t
 (** A network over [graph] with all nodes initially inactive. [n_estimate]
     seeds every node's size estimate (drive it later with
-    {!set_estimate}). *)
+    {!set_estimate}). Builds the resolution ring over every node, with
+    [config.params.resolution_replicas] points each. *)
 
 val activate : t -> int -> unit
 (** Bring a node up: it draws landmark status, starts its timers and
@@ -84,8 +91,8 @@ val forward :
     - {!Disco_core.Dataplane.Seek} (only [dst]'s flat name): carry along
       the node's route to [dst], else along a stored group address (via
       the route to its landmark), else steer toward the resolution owner
-      the node computes from its own known landmarks; the owner itself
-      carries along its resolution entry;
+      the node finds among its own known landmarks on the shared ring;
+      the owner itself carries along its resolution entry;
     - {!Disco_core.Dataplane.Steer} (toward the owner in [waypoint]): seek
       afresh at a node that holds a route or an address for [dst], or at
       the owner; otherwise the next hop toward the owner, even at [dst];

@@ -44,11 +44,10 @@ let create ?(replicas = 1) ~owners ~owner_name () =
 
 let is_empty t = Array.length t.phi = 0
 
-let owner_of t key =
+(* Index of the key's successor: the first point >= key, wrapping to 0. *)
+let successor t key =
   let n = Array.length t.phi in
-  if n = 0 then invalid_arg "Consistent_hash.owner_of: empty ring";
   let khi, klo = split64 key in
-  (* Binary search for the first point >= key; wrap to 0. *)
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -57,8 +56,23 @@ let owner_of t key =
     in
     if less then lo := mid + 1 else hi := mid
   done;
-  let idx = if !lo = n then 0 else !lo in
-  t.powner.(idx)
+  if !lo = n then 0 else !lo
+
+let owner_of t key =
+  if is_empty t then invalid_arg "Consistent_hash.owner_of: empty ring";
+  t.powner.(successor t key)
+
+(* The admitted owners' points are a subsequence of this ring in the same
+   (position, owner) order, so the first admitted point from the key's
+   successor on, wrapping, is the successor on their own ring. *)
+let owner_among t key ~member =
+  let n = Array.length t.phi in
+  let rec scan i left =
+    if left = 0 then None
+    else if member t.powner.(i) then Some t.powner.(i)
+    else scan (if i + 1 = n then 0 else i + 1) (left - 1)
+  in
+  if n = 0 then None else scan (successor t key) n
 
 let owner_of_name t name = owner_of t (Hash_space.of_name name)
 

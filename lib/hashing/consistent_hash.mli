@@ -15,7 +15,17 @@ val create : ?replicas:int -> owners:int array -> owner_name:(int -> string) -> 
     owner (default 1, the paper's "simplest form"). *)
 
 val owner_of : t -> Hash_space.id -> int
-(** The owner whose ring point is the successor of the key. *)
+(** The owner whose ring point is the successor of the key: the first
+    point at or after it in (position, owner id) order, wrapping past the
+    last point. *)
+
+val owner_among : t -> Hash_space.id -> member:(int -> bool) -> int option
+(** [owner_among t key ~member] is what {!owner_of} returns on a ring
+    built with the same names and replicas from the owners [member]
+    admits, or [None] when it admits none. Their points are a subsequence
+    of [t]'s in the same order, so the answer is the first admitted point
+    from [key]'s successor on, wrapping: one binary search, then [member]
+    on each point passed over. *)
 
 val owner_of_name : t -> string -> int
 (** [owner_of t (Hash_space.of_name name)]. *)

@@ -323,6 +323,70 @@ let test_steer_passes_through_dst () =
   done;
   Alcotest.(check bool) "some destination forwards toward its owner" true (!forwarded > 0)
 
+(* The protocol's fixed-seed trajectory, pinned: cold start, a 5%
+   fail-stop and its repair, an estimate jump that flips landmarks, then
+   the failed nodes rejoin.  Each checkpoint renders the message count,
+   the landmark set, every node's table size and the routes of a fixed
+   pair sample, so a changed owner, route, message or table changes the
+   digest.  The pinned digests are those of the protocol that rebuilt a
+   ring over each node's known landmarks at every resolution lookup.
+
+   The estimate falls to n/4 at the non-landmarks only, so the jump
+   promotes and never demotes: a demotion at n = 128 sets off a storm of
+   landmark-status flips (1-2M messages per 10 simulated seconds,
+   ROADMAP item 3) that would take this case past a minute. *)
+let trajectory n =
+  let _, net = make ~n ~seed:31 () in
+  let rng = Rng.create (n + 37) in
+  let pairs = List.init 30 (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+  let b = Buffer.create 8192 in
+  let landmarks () = List.filter (Network.is_landmark net) (List.init n Fun.id) in
+  let checkpoint what =
+    Printf.bprintf b "%s t=%.0f msgs=%d landmarks=%d:" what (Network.now net)
+      (Network.messages_sent net) (Network.landmark_count net);
+    List.iter (Printf.bprintf b " %d") (landmarks ());
+    Buffer.add_string b "\ntables:";
+    for v = 0 to n - 1 do
+      Printf.bprintf b " %d" (Network.route_table_size net v)
+    done;
+    List.iter
+      (fun (s, d) ->
+        Printf.bprintf b "\n%d->%d:" s d;
+        match Network.route net ~src:s ~dst:d with
+        | None -> Buffer.add_string b " none"
+        | Some p -> List.iter (Printf.bprintf b " %d") p)
+      pairs;
+    Buffer.add_char b '\n'
+  in
+  Network.activate_all net;
+  converge net 150.0;
+  checkpoint "cold start";
+  let failed = Rng.sample_without_replacement rng (n / 20) n in
+  Array.iter (Network.deactivate net) failed;
+  converge net 350.0;
+  checkpoint "repaired";
+  let before = landmarks () in
+  List.iter
+    (fun v -> if not (Network.is_landmark net v) then Network.set_estimate net v ~n:(n / 4))
+    (List.init n Fun.id);
+  Alcotest.(check bool) "the estimate jump flips landmarks" false
+    (List.equal Int.equal before (landmarks ()));
+  converge net 420.0;
+  checkpoint "estimate jump";
+  Array.iter (Network.activate net) failed;
+  converge net 520.0;
+  checkpoint "rejoin";
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_trajectory_pinned () =
+  List.iter
+    (fun (n, pinned) ->
+      Alcotest.(check string) (Printf.sprintf "n=%d trajectory digest" n) pinned (trajectory n))
+    [
+      (64, "b4ae9b684e1dd849029dbddad537f673");
+      (128, "12e7c6e584b87704a46da0300783d103");
+    ]
+
 let suite =
   [
     Alcotest.test_case "cold start reaches all pairs" `Slow test_cold_start_full_reachability;
@@ -341,4 +405,5 @@ let suite =
       test_walk_matches_route;
     Alcotest.test_case "steering passes through its destination" `Quick
       test_steer_passes_through_dst;
+    Alcotest.test_case "fixed-seed trajectory is pinned" `Slow test_trajectory_pinned;
   ]

@@ -105,6 +105,63 @@ let test_ch_consistency_under_removal () =
       Alcotest.(check int) "stable key" before (Consistent_hash.owner_of less key)
   done
 
+(* [owner_among] on a ring over every owner answers as [owner_of] on a ring
+   built from the admitted owners alone, and [None] exactly when none is
+   admitted.  Owner sets of 1-64 random ids with 1-3 replicas; admitted
+   subsets empty, singleton, full or of random density; keys random, equal
+   to a ring point (replica [r] of owner [o] sits at the hash of
+   "<name o>#<r>"), before the first point and past the last (the wrap). *)
+let prop_owner_among_is_subset_ring =
+  Helpers.qtest "consistent hash: owner_among = owner_of on the subset ring" ~count:300
+    Helpers.seed_arb (fun seed ->
+      let module Rng = Disco_util.Rng in
+      let rng = Rng.create seed in
+      let replicas = 1 + Rng.int rng 3 in
+      let owners = Rng.sample_without_replacement rng (1 + Rng.int rng 64) 1000 in
+      let name o = Printf.sprintf "o%d" o in
+      let full = Consistent_hash.create ~replicas ~owners ~owner_name:name () in
+      let points =
+        Array.to_list owners
+        |> List.concat_map (fun o ->
+               List.init replicas (fun r ->
+                   (o, Hash_space.of_name (Printf.sprintf "%s#%d" (name o) r))))
+      in
+      let last =
+        List.fold_left
+          (fun m (_, p) -> if Hash_space.compare_unsigned p m > 0 then p else m)
+          0L points
+      in
+      let keys =
+        (0L :: -1L :: Int64.succ last :: List.map snd points)
+        @ List.init 20 (fun _ -> Rng.bits64 rng)
+      in
+      let subset () =
+        match Rng.int rng 4 with
+        | 0 -> [||]
+        | 1 -> [| owners.(Rng.int rng (Array.length owners)) |]
+        | 2 -> owners
+        | _ ->
+            let p = Rng.float rng 1.0 in
+            Array.of_list (List.filter (fun _ -> Rng.bernoulli rng p) (Array.to_list owners))
+      in
+      (* A key on a point belongs to that point's owner. *)
+      List.for_all (fun (o, key) -> Int.equal o (Consistent_hash.owner_of full key)) points
+      && List.for_all
+        (fun _ ->
+          let admitted = subset () in
+          let member o = Array.exists (Int.equal o) admitted in
+          let subset_ring =
+            if Array.length admitted = 0 then None
+            else Some (Consistent_hash.create ~replicas ~owners:admitted ~owner_name:name ())
+          in
+          List.for_all
+            (fun key ->
+              Option.equal Int.equal
+                (Consistent_hash.owner_among full key ~member)
+                (Option.map (fun ring -> Consistent_hash.owner_of ring key) subset_ring))
+            keys)
+        (List.init 8 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "fnv vectors" `Quick test_fnv_vectors;
@@ -119,4 +176,5 @@ let suite =
     Alcotest.test_case "consistent hash: all owners used" `Quick test_ch_all_owners_used;
     Alcotest.test_case "consistent hash: replicas balance" `Quick test_ch_replicas_balance;
     Alcotest.test_case "consistent hash: removal is local" `Quick test_ch_consistency_under_removal;
+    prop_owner_among_is_subset_ring;
   ]
