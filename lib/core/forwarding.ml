@@ -1,4 +1,6 @@
 module Graph = Disco_graph.Graph
+module Bits = Disco_util.Bits
+module Hash_space = Disco_hash.Hash_space
 module D = Dataplane
 
 let ttl_factor = 4
@@ -163,7 +165,10 @@ let later_header_nd (nd : Nddisco.t) ~src ~dst =
    Othello FIB — so compiling no longer re-flattens anything into private
    copies.  Landmark trees become parent rows primed per flow; name
    hashes split into unsigned 32-bit halves so the group tests never box
-   an Int64. *)
+   an Int64; each vicinity row gets a second order, by name hash, for the
+   group-proxy search. *)
+
+type ranks = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type fast = {
   fis_lm : bool array;
@@ -176,7 +181,13 @@ type fast = {
   ffib : Packed.Othello.t option;  (* resolution owner FIB; None for NDDisco *)
   falm : int array;  (* address landmark per node (shared slab) *)
   faroute : Packed.Csr.t;  (* address node paths [lm; ...; v] (shared CSR) *)
+  forder : int array;  (* node ids in hash order ([Groups.sorted_ids]) *)
+  frank : int array;  (* each node's index in [forder] *)
+  froff : int array;  (* V(v)'s hash-order row is [frows] from froff.(v) *)
+  frows : ranks;  (* V(v)'s members as hash ranks, ascending *)
 }
+
+let no_ranks : ranks = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
 
 let compile_nd (nd : Nddisco.t) =
   {
@@ -190,7 +201,61 @@ let compile_nd (nd : Nddisco.t) =
     ffib = None;
     falm = nd.Nddisco.addresses.Nddisco.alm;
     faroute = nd.Nddisco.addresses.Nddisco.aroute;
+    forder = [||];
+    frank = [||];
+    froff = [||];
+    frows = no_ranks;
   }
+
+(* Every view's members as hash ranks, each row ascending, in one int32
+   slab. Each row is radix-sorted in two digits of half the bits of n:
+   both digits are counted while the ranks are gathered, then the low
+   digit scatters into scratch and the high digit into the slab. A row
+   of m members costs O(m + sqrt n), and the scratch is O(k + sqrt n). *)
+let rank_rows (views : Vicinity.view array) (rank : int array) =
+  let n = Array.length views in
+  let off = Array.make (n + 1) 0 in
+  let widest = ref 0 in
+  for v = 0 to n - 1 do
+    let m = Array.length views.(v).Vicinity.members in
+    off.(v + 1) <- off.(v) + m;
+    widest := max !widest m
+  done;
+  let rows = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout off.(n) in
+  let half = (Bits.width_for n + 1) / 2 in
+  let mask = (1 lsl half) - 1 in
+  let a = Array.make !widest 0 and b = Array.make !widest 0 in
+  let lo = Array.make (mask + 2) 0 and hi = Array.make (mask + 2) 0 in
+  for v = 0 to n - 1 do
+    let members = views.(v).Vicinity.members in
+    let m = Array.length members in
+    Array.fill lo 0 (mask + 2) 0;
+    Array.fill hi 0 (mask + 2) 0;
+    for i = 0 to m - 1 do
+      let r = rank.(members.(i)) in
+      a.(i) <- r;
+      let cl = (r land mask) + 1 and ch = (r lsr half) + 1 in
+      lo.(cl) <- lo.(cl) + 1;
+      hi.(ch) <- hi.(ch) + 1
+    done;
+    for c = 1 to mask + 1 do
+      lo.(c) <- lo.(c) + lo.(c - 1);
+      hi.(c) <- hi.(c) + hi.(c - 1)
+    done;
+    for i = 0 to m - 1 do
+      let r = a.(i) in
+      let c = r land mask in
+      b.(lo.(c)) <- r;
+      lo.(c) <- lo.(c) + 1
+    done;
+    for i = 0 to m - 1 do
+      let r = b.(i) in
+      let c = r lsr half in
+      rows.{off.(v) + hi.(c)} <- Int32.of_int r;
+      hi.(c) <- hi.(c) + 1
+    done
+  done;
+  (off, rows)
 
 let compile (d : Disco.t) =
   let nd = d.Disco.nd in
@@ -205,7 +270,21 @@ let compile (d : Disco.t) =
     fglo.(v) <- lo;
     fgbits.(v) <- Groups.bits_of d.Disco.groups v
   done;
-  { base with fghi; fglo; fgbits; ffib = Some (Resolution.fib d.Disco.resolution) }
+  let forder = Groups.sorted_ids d.Disco.groups in
+  let frank = Array.make n 0 in
+  Array.iteri (fun r v -> frank.(v) <- r) forder;
+  let froff, frows = rank_rows base.fviews frank in
+  {
+    base with
+    fghi;
+    fglo;
+    fgbits;
+    ffib = Some (Resolution.fib d.Disco.resolution);
+    forder;
+    frank;
+    froff;
+    frows;
+  }
 
 let fast_prime_nd f ~src:_ ~dst =
   if f.fis_lm.(dst) then Landmark_trees.prime f.ftrees f.flm dst
@@ -319,34 +398,57 @@ let fd_believes f v w =
 
 let fd_same_group f v w = fd_believes f v w && fd_believes f w v
 
-let rec clz32_from x i =
-  if i >= 32 then 32 else if (x lsr (31 - i)) land 1 = 1 then i else clz32_from x (i + 1)
-
 (* [Hash_space.common_prefix_len] over the halves. *)
-let fd_cpl f a b =
-  let xh = f.fghi.(a) lxor f.fghi.(b) in
-  if xh <> 0 then clz32_from xh 0
+let fd_cpl hi lo a b =
+  let xh = hi.(a) lxor hi.(b) in
+  if xh <> 0 then Hash_space.clz xh else 32 + Hash_space.clz (lo.(a) lxor lo.(b))
+
+(* First index in [row.{i..stop-1}] whose rank is >= [r]. *)
+let rec rank_search (row : ranks) r i stop =
+  if i >= stop then i
   else begin
-    let xl = f.fglo.(a) lxor f.fglo.(b) in
-    if xl = 0 then 64 else 32 + clz32_from xl 0
+    let mid = (i + stop) / 2 in
+    if Int32.to_int row.{mid} < r then rank_search row r (mid + 1) stop
+    else rank_search row r i mid
   end
 
-(* [best_group_proxy]'s scan over V(u)'s member row: best proxy id in
-   [pis.(1)], its prefix length in [pis.(2)], its distance in [pfs.(1)];
-   same order (members ascending) and tie rule as the typed fold. *)
-let rec proxy_scan f (pkt : D.packet) (vw : Vicinity.view) dst i stop =
-  if i < stop then begin
-    let w = vw.Vicinity.members.(i) in
-    if w <> dst then begin
-      let len = fd_cpl f w dst in
-      let d = vw.Vicinity.dists.(i) in
-      if len > pkt.D.pis.(2) || (len = pkt.D.pis.(2) && d < pkt.D.pfs.(1)) then begin
-        pkt.D.pis.(1) <- w;
-        pkt.D.pis.(2) <- len;
-        pkt.D.pfs.(1) <- d
-      end
-    end;
-    proxy_scan f pkt vw dst (i + 1) stop
+(* Prefix length with [dst] of the member at row index [i], -1 off the row. *)
+let side_cpl ~hi ~lo ~order (row : ranks) ~off ~stop i dst =
+  if i < off || i >= stop then -1
+  else fd_cpl hi lo order.(Int32.to_int row.{i}) dst
+
+(* Walk the row from [i] in direction [step] while members keep prefix
+   length [len] with [dst]; [bj] is the best member's index in the
+   id-sorted view, by least distance then least id. *)
+let rec proxy_run ~hi ~lo ~order (row : ranks) ~off ~stop ~members
+    ~(dists : float array) dst len i step bj =
+  if side_cpl ~hi ~lo ~order row ~off ~stop i dst < len then bj
+  else begin
+    let j = vseg_search members order.(Int32.to_int row.{i}) 0 (Array.length members - 1) in
+    let bj =
+      if bj < 0 || dists.(j) < dists.(bj) || (dists.(j) = dists.(bj) && j < bj) then j
+      else bj
+    in
+    proxy_run ~hi ~lo ~order row ~off ~stop ~members ~dists dst len (i + step) step bj
+  end
+
+let hash_order_proxy ~hi ~lo ~order ~rank ~row ~off ~len ~members ~dists dst =
+  let stop = off + len in
+  let r = rank.(dst) in
+  let p = rank_search row r off stop in
+  let next = if p < stop && Int32.to_int row.{p} = r then p + 1 else p in
+  let best =
+    max
+      (side_cpl ~hi ~lo ~order row ~off ~stop (p - 1) dst)
+      (side_cpl ~hi ~lo ~order row ~off ~stop next dst)
+  in
+  if best < 0 then -1
+  else begin
+    let bj =
+      proxy_run ~hi ~lo ~order row ~off ~stop ~members ~dists dst best (p - 1) (-1) (-1)
+    in
+    let bj = proxy_run ~hi ~lo ~order row ~off ~stop ~members ~dists dst best next 1 bj in
+    members.(bj)
   end
 
 (* The step machine, decision-for-decision the typed [seek_step] /
@@ -363,12 +465,13 @@ let rec fd_seek f (pkt : D.packet) u tried =
     else if c < 0 then D.fast_protocol
     else if fd_same_group f u dst then fd_addr_carry f pkt u dst
     else if not tried then begin
-      pkt.D.pis.(1) <- -1;
-      pkt.D.pis.(2) <- -1;
-      pkt.D.pfs.(1) <- infinity;
       let vw = f.fviews.(u) in
-      proxy_scan f pkt vw dst 0 (Array.length vw.Vicinity.members);
-      let w = pkt.D.pis.(1) in
+      let w =
+        hash_order_proxy ~hi:f.fghi ~lo:f.fglo ~order:f.forder ~rank:f.frank
+          ~row:f.frows ~off:f.froff.(u)
+          ~len:(f.froff.(u + 1) - f.froff.(u))
+          ~members:vw.Vicinity.members ~dists:vw.Vicinity.dists dst
+      in
       if w >= 0 && fd_same_group f w dst then begin
         if w = u then fd_resolution f pkt u dst
         else begin

@@ -59,13 +59,53 @@ val later_header_nd : Nddisco.t -> src:int -> dst:int -> Dataplane.header
 
 (** {2 Compiled fast path}
 
-    The zero-alloc face of {!forward}/{!forward_nd}: vicinity views
-    flattened into one CSR, landmark trees as parent rows primed per
-    flow, name hashes as unsigned 32-bit halves.  {!fast_step} mirrors
-    the typed steps decision for decision (disco-check's fast≡typed
-    differential holds them to the same hop sequence and verdict). *)
+    The zero-alloc face of {!forward}/{!forward_nd}.  It reads the state
+    the typed face reads: the vicinity view records themselves, shared
+    through {!Vicinity.slots}, Nddisco's address CSR and the resolution
+    FIB.  Landmark trees become parent rows primed per flow, and name
+    hashes unsigned 32-bit halves.
+
+    {!compile} adds one index, the hash-order rows: each node's vicinity
+    row in a second order, its members' ranks in {!Groups.sorted_ids}
+    ascending, 4 B per member in one int32 slab.  A first packet finds
+    its group proxy in them by binary search ({!hash_order_proxy})
+    instead of scanning all k members.  The rows are a plan index over
+    state the node already holds, so [state_bytes] does not count them.
+
+    {!fast_step} mirrors the typed steps decision for decision
+    (disco-check's fast≡typed differential holds them to the same hop
+    sequence and verdict). *)
 
 type fast
+
+type ranks = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val hash_order_proxy :
+  hi:int array ->
+  lo:int array ->
+  order:int array ->
+  rank:int array ->
+  row:ranks ->
+  off:int ->
+  len:int ->
+  members:int array ->
+  dists:float array ->
+  int ->
+  int
+(** [hash_order_proxy ~hi ~lo ~order ~rank ~row ~off ~len ~members ~dists
+    dst] is the group proxy the typed [Disco] rule picks in one vicinity
+    row: the member other than [dst] whose name hash shares the longest
+    prefix with [dst]'s, then the least distance, then the least id; [-1]
+    when the row holds no member but [dst].
+    - [hi]/[lo]: each node's name-hash halves;
+    - [order]: node ids by hash (unsigned, ties by id); [rank] inverts it;
+    - [row.{off .. off+len-1}]: the row's members as ranks, ascending;
+    - [members]/[dists]: the view's id-sorted rows.
+
+    The longest prefix lies at [dst]'s nearest non-[dst] neighbour on
+    either side in hash order, and every member with that prefix length
+    sits in one contiguous run around that point.  Cost: a binary search
+    plus the run, each run member one more binary search in [members]. *)
 
 val compile : Disco.t -> fast
 val compile_nd : Nddisco.t -> fast

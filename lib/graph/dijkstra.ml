@@ -14,7 +14,7 @@ type workspace = {
 
 (* Slots of [ws.bound]. A float array keeps their reads and writes
    unboxed inside the relaxation closure. *)
-let cap = 0 (* B: no push beyond it can reach the k closest *)
+let cap = 0 (* B: no push at or beyond it can reach the k closest *)
 let reach_max = 1 (* largest first-reach distance so far *)
 let lightest = 2 (* lightest edge of [ws.graph]; infinity if edgeless *)
 
@@ -71,10 +71,14 @@ let[@inline] reach ws d =
   end
 
 (* Core loop. [stop] inspects each newly settled node (with its settle
-   index and distance) and returns true to halt. Pushes beyond the cap
-   are skipped, and so is the scan of a node whose lightest possible
-   push would be; ties at the cap are still pushed, so the entries that
-   can settle, and their push order, are those of an unbounded run. *)
+   index and distance) and returns true to halt. Pushes at or beyond the
+   cap B are skipped, and so is the scan of a node whose lightest
+   possible push would be. A tie at B can be skipped too: a node first
+   reached after B is fixed is pushed after the first push of each of
+   the k nodes that fixed it, and those pushes are all at most B, so
+   with the heap's ties broken by push order it never settles ahead of
+   them. The first k settled nodes, their distances and parents are
+   those of an unbounded run. *)
 let run_dijkstra ws g sources ~bound_after ~stop =
   let run = fresh_run ws g ~bound_after in
   (* On a graph of the same size the workspace was not made for, 0 is
@@ -97,10 +101,10 @@ let run_dijkstra ws g sources ~bound_after ~stop =
           let idx = !settle_count in
           incr settle_count;
           if stop u idx d then halted := true
-          else if d +. w_min <= ws.bound.(cap) then
+          else if d +. w_min < ws.bound.(cap) then
             Graph.iter_neighbors g u (fun v w ->
                 let nd = d +. w in
-                if nd <= ws.bound.(cap) && not (is_settled ws run v) then
+                if nd < ws.bound.(cap) && not (is_settled ws run v) then
                   if not (seen ws run v) then begin
                     reach ws nd;
                     touch ws run v nd u;

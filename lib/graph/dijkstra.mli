@@ -50,10 +50,12 @@ val k_closest : ?ws:workspace -> Graph.t -> int -> int -> truncated
     The search stops early without changing that result. Once [min k n]
     distinct nodes have been reached, the largest distance B at which any
     of them was first reached bounds the k-th settled distance. From then
-    on the search skips every push beyond B, and the neighbour scan of
-    any settled node whose distance plus the graph's lightest edge is
-    beyond B. Pushes at exactly B still happen. The order, distances and
-    parents are those of the unbounded search. *)
+    on the search skips every push at or beyond B, and the neighbour scan
+    of any settled node whose distance plus the graph's lightest edge is
+    at or beyond B. A node first reached at exactly B after B is fixed is
+    pushed after the k nodes that fixed it, so it could only settle
+    behind them. The order, distances and parents are those of the
+    unbounded search. *)
 
 val within_radius : ?ws:workspace -> Graph.t -> int -> float -> truncated
 (** [within_radius g src r] settles every node at distance < [r] — the

@@ -15,18 +15,24 @@ let prefix_bits h ~width =
   if width = 0 then 0
   else Int64.to_int (Int64.shift_right_logical h (64 - width))
 
+(* Smear the highest set bit rightwards, then count the ones (SWAR
+   popcount): no branch and no loop. *)
+let clz x =
+  let x = x lor (x lsr 1) in
+  let x = x lor (x lsr 2) in
+  let x = x lor (x lsr 4) in
+  let x = x lor (x lsr 8) in
+  let x = x lor (x lsr 16) in
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  32 - (((x * 0x01010101) lsr 24) land 0xff)
+
 let common_prefix_len a b =
   let x = Int64.logxor a b in
-  if x = 0L then 64
-  else begin
-    (* Count leading zeros of x. *)
-    let rec go i =
-      if i >= 64 then 64
-      else if Int64.logand (Int64.shift_right_logical x (63 - i)) 1L = 1L then i
-      else go (i + 1)
-    in
-    go 0
-  end
+  let hi = Int64.to_int (Int64.shift_right_logical x 32) in
+  if hi <> 0 then clz hi
+  else 32 + clz (Int64.to_int (Int64.logand x 0xffffffffL))
 
 let ring_distance a b =
   (* disco-lint: allow L7 the ring metric is pinned to Int64; the two boxed intermediates are short-lived minor garbage *)

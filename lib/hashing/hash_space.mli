@@ -21,6 +21,10 @@ val prefix_bits : id -> width:int -> int
     (requires [0 <= width <= 30]); identifies [h]'s sloppy group when
     [width = k]. *)
 
+val clz : int -> int
+(** Leading zeros of [x] as a 32-bit word (0..32; 32 for 0). Requires
+    [0 <= x < 2^32]. *)
+
 val common_prefix_len : id -> id -> int
 (** Length of the longest common leading bit prefix (0..64). *)
 

@@ -302,6 +302,35 @@ let prop_k_closest_exact =
             (List.init n Fun.id))
         [ 0; 1; 2; n / 2; n; n + 3 ])
 
+(* 0 -1- 1 -1- 3, 0 -2- 2 -0.5- 4. With k = 3 the source's scan reaches
+   1 at 1 and 2 at 2, which fixes B = 2. Node 1's neighbours are scanned
+   (1 + 0.5 < B), and 3 is first reached there at exactly B, after B is
+   fixed: the search skips that push, as 2's earlier push at B settles
+   first. *)
+let test_k_closest_tie_at_cap () =
+  let b = Graph.Builder.create 5 in
+  Graph.Builder.add_edge b 0 1 1.0;
+  Graph.Builder.add_edge b 1 3 1.0;
+  Graph.Builder.add_edge b 0 2 2.0;
+  Graph.Builder.add_edge b 2 4 0.5;
+  let g = Graph.Builder.build b in
+  let ws = Dijkstra.make_workspace g in
+  let bits a = Array.map Int64.bits_of_float a in
+  for k = 1 to 6 do
+    let want = plain_k_closest g 0 k in
+    List.iter
+      (fun got ->
+        let name what = Printf.sprintf "k=%d %s" k what in
+        Alcotest.(check (array int)) (name "order") want.Dijkstra.order got.Dijkstra.order;
+        Alcotest.(check (array int64))
+          (name "distance bits") (bits want.Dijkstra.tdist) (bits got.Dijkstra.tdist);
+        Alcotest.(check (array int)) (name "parents") want.Dijkstra.tparent
+          got.Dijkstra.tparent)
+      [ Dijkstra.k_closest g 0 k; Dijkstra.k_closest ~ws g 0 k ]
+  done;
+  Alcotest.(check (array int)) "k=3 keeps 2, not 3" [| 0; 1; 2 |]
+    (Dijkstra.k_closest g 0 3).Dijkstra.order
+
 let suite =
   [
     Alcotest.test_case "sssp diamond" `Quick test_sssp_diamond;
@@ -315,6 +344,7 @@ let suite =
     Alcotest.test_case "path_length" `Quick test_path_length;
     Alcotest.test_case "truncated_lookup" `Quick test_truncated_lookup;
     Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
+    Alcotest.test_case "k_closest skips ties at the cap" `Quick test_k_closest_tie_at_cap;
     prop_matches_floyd;
     prop_weighted_matches_floyd;
     prop_k_closest_agrees_with_sssp;

@@ -174,6 +174,125 @@ let prop_first_packet_stretch_bound =
       done;
       !ok)
 
+(* [Disco.best_group_proxy]'s fold over plain arrays: the member other
+   than [dst] whose hash shares the longest prefix with [dst]'s, then the
+   least distance; scanning ids upwards keeps the least id of equals. *)
+let linear_proxy hashes members dists dst =
+  let best = ref (-1) and best_len = ref (-1) and best_dist = ref infinity in
+  Array.iteri
+    (fun i w ->
+      if w <> dst then begin
+        let len = Disco_hash.Hash_space.common_prefix_len hashes.(w) hashes.(dst) in
+        if len > !best_len || (len = !best_len && dists.(i) < !best_dist) then begin
+          best := w;
+          best_len := len;
+          best_dist := dists.(i)
+        end
+      end)
+    members;
+  !best
+
+(* The hash-order inputs over [hashes]: halves, nodes by (unsigned hash,
+   id) as [Groups] orders them, and each node's rank in that order. *)
+let hash_order hashes =
+  let n = Array.length hashes in
+  let hi = Array.map (fun h -> fst (Core.Packed.split64 h)) hashes in
+  let lo = Array.map (fun h -> snd (Core.Packed.split64 h)) hashes in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Disco_hash.Hash_space.compare_unsigned hashes.(a) hashes.(b) in
+      if c <> 0 then c else Int.compare a b)
+    order;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r v -> rank.(v) <- r) order;
+  (hi, lo, order, rank)
+
+(* [members]' ranks, ascending, at offset [pad] in a slab with [pad]
+   entries of rank 0 on either side, which a read past the row's ends
+   would take for a member. *)
+let rank_row ?(pad = 0) rank members =
+  let ranks = Array.map (fun w -> rank.(w)) members in
+  Array.sort Int.compare ranks;
+  let len = Array.length ranks + (2 * pad) in
+  let row = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len in
+  Bigarray.Array1.fill row 0l;
+  Array.iteri (fun i r -> row.{pad + i} <- Int32.of_int r) ranks;
+  row
+
+let lookup (hi, lo, order, rank) ?(pad = 0) members dists dst =
+  Forwarding.hash_order_proxy ~hi ~lo ~order ~rank ~row:(rank_row ~pad rank members)
+    ~off:pad ~len:(Array.length members) ~members ~dists dst
+
+(* Crafted names: a hash copied whole from an earlier node (prefix length
+   64), its top half kept with a fresh bottom half, it changed from a
+   random bit down (every prefix length), an edge value, or random. Rows
+   of 0, 1 or many members, distances from {1, 2, 3} so that ties occur,
+   and every node as dst, inside the row and outside it. *)
+let prop_hash_order_proxy_is_typed_rule =
+  Helpers.qtest "hash-order proxy = typed rule on crafted rows" ~count:500
+    Helpers.seed_arb (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 40 in
+      let hashes = Array.make n 0L in
+      for v = 0 to n - 1 do
+        let earlier () = hashes.(Rng.int rng v) in
+        hashes.(v) <-
+          (match Rng.int rng 5 with
+          | 0 when v > 0 -> earlier ()
+          | 1 when v > 0 ->
+              Int64.logor
+                (Int64.logand (earlier ()) 0xffffffff00000000L)
+                (Int64.shift_right_logical (Rng.bits64 rng) 32)
+          | 2 when v > 0 ->
+              let r = Rng.int rng 64 in
+              Int64.logxor (earlier ())
+                (Int64.shift_right_logical (Int64.logor (Rng.bits64 rng) Int64.min_int) r)
+          | 3 ->
+              [| 0L; 1L; 0x80000000L; 0xffffffffL; -1L; Int64.min_int |].(Rng.int rng 6)
+          | _ -> Rng.bits64 rng)
+      done;
+      let ho = hash_order hashes in
+      let members =
+        match Rng.int rng 4 with
+        | 0 -> [||]
+        | 1 -> [| Rng.int rng n |]
+        | _ ->
+            let p = Rng.float rng 1.0 in
+            Array.of_list (List.filter (fun _ -> Rng.bernoulli rng p) (List.init n Fun.id))
+      in
+      let dists = Array.map (fun _ -> float_of_int (1 + Rng.int rng 3)) members in
+      let pad = Rng.int rng 3 in
+      List.for_all
+        (fun dst ->
+          Int.equal (lookup ho ~pad members dists dst) (linear_proxy hashes members dists dst))
+        (List.init n Fun.id))
+
+(* On built Disco state, the lookup picks the proxy [classify_first]
+   reports wherever the typed classification reaches the proxy choice. *)
+let test_hash_order_proxy_on_views () =
+  List.iter
+    (fun seed ->
+      let g, d = build seed in
+      let nd = d.Disco.nd in
+      let n = Graph.n g in
+      let ((_, _, order, _) as ho) = hash_order nd.Core.Nddisco.hashes in
+      Alcotest.(check (array int)) "Groups' hash order" (Core.Groups.sorted_ids d.Disco.groups)
+        order;
+      for u = 0 to n - 1 do
+        let vw = Core.Vicinity.view nd.Core.Nddisco.vicinity u in
+        for dst = 0 to n - 1 do
+          let w = lookup ho vw.Core.Vicinity.members vw.Core.Vicinity.dists dst in
+          match Disco.classify_first d ~src:u ~dst with
+          | Disco.Via_group_member w' -> Alcotest.(check int) "proxy" w' w
+          | Disco.Resolution_fallback ->
+              Alcotest.(check bool) "no proxy in dst's group" true
+                (w < 0 || not (Core.Groups.same_group d.Disco.groups w dst))
+          | _ -> ()
+        done
+      done)
+    [ 3; 5; 11 ]
+
 let suite =
   [
     Alcotest.test_case "delivery between all pairs" `Quick test_delivery_all_pairs;
@@ -184,4 +303,6 @@ let suite =
     Alcotest.test_case "trivial" `Quick test_trivial;
     Alcotest.test_case "pp_trace" `Quick test_pp_trace;
     prop_first_packet_stretch_bound;
+    prop_hash_order_proxy_is_typed_rule;
+    Alcotest.test_case "hash-order proxy on built views" `Quick test_hash_order_proxy_on_views;
   ]

@@ -24,6 +24,53 @@ let test_common_prefix_len () =
     (Hash_space.common_prefix_len 0L Int64.min_int);
   Alcotest.(check int) "63 shared" 63 (Hash_space.common_prefix_len 0L 1L)
 
+(* The one-bit-at-a-time counts the branch-free ones replace. *)
+let bit_loop_clz x =
+  let rec go i = if i >= 32 || (x lsr (31 - i)) land 1 = 1 then i else go (i + 1) in
+  go 0
+
+let bit_loop_cpl a b =
+  let x = Int64.logxor a b in
+  let rec go i =
+    if i >= 64 || Int64.logand (Int64.shift_right_logical x (63 - i)) 1L = 1L then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Words with every count of leading zeros (a random word shifted right
+   0..32 places) plus 0, 1, 2^31 and 2^32-1; id pairs that differ first
+   at every bit position, and equal ids. *)
+let prop_clz_matches_bit_loop =
+  Helpers.qtest "clz and common_prefix_len = bit loop" ~count:300 Helpers.seed_arb
+    (fun seed ->
+      let module Rng = Disco_util.Rng in
+      let rng = Rng.create seed in
+      let word () = Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 32) in
+      let words =
+        [ 0; 1; 1 lsl 31; (1 lsl 32) - 1 ]
+        @ List.init 40 (fun _ -> word () lsr Rng.int rng 33)
+      in
+      let ids =
+        [ 0L; 1L; 0x80000000L; 0xffffffffL; -1L; Int64.min_int ]
+        @ List.init 8 (fun _ -> Rng.bits64 rng)
+      in
+      (* [a] with its bits from position r on changed, the first of them
+         always: common prefix r, or 64 for r = 64. *)
+      let partner a =
+        let r = Rng.int rng 65 in
+        let top = Int64.logor (Rng.bits64 rng) Int64.min_int in
+        if r = 64 then a else Int64.logxor a (Int64.shift_right_logical top r)
+      in
+      List.for_all (fun x -> Int.equal (Hash_space.clz x) (bit_loop_clz x)) words
+      && List.for_all (fun a -> Int.equal (Hash_space.common_prefix_len a a) 64) ids
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 Int.equal (Hash_space.common_prefix_len a b) (bit_loop_cpl a b))
+               (ids @ List.init 8 (fun _ -> partner a)))
+           ids)
+
 let test_ring_distance () =
   Alcotest.(check int64) "self" 0L (Hash_space.ring_distance 10L 10L);
   Alcotest.(check int64) "forward" 5L (Hash_space.ring_distance 10L 15L);
@@ -177,4 +224,5 @@ let suite =
     Alcotest.test_case "consistent hash: replicas balance" `Quick test_ch_replicas_balance;
     Alcotest.test_case "consistent hash: removal is local" `Quick test_ch_consistency_under_removal;
     prop_owner_among_is_subset_ring;
+    prop_clz_matches_bit_loop;
   ]
