@@ -6,9 +6,11 @@
      disco-check --replay 'seed=123,family=gnm,n=32,pairs=4,workload=uniform,churn=0'
      disco-check --cases 2000 --json --out report.json
 
-   Exit status 0 iff no invariant violation was found. On failure the
-   report includes, per counterexample, the shrunk scenario and the exact
-   command that replays it. *)
+   Exit status: 0 when no invariant violation was found; 1 when one was
+   (the report then includes, per counterexample, the shrunk scenario and
+   the exact command that replays it); 124 on a command-line error, such as
+   an unknown --scheme or a malformed --replay scenario, or when the report
+   cannot be written. *)
 
 open Cmdliner
 module Check = Disco_check
@@ -69,6 +71,15 @@ let emit ~json ~out summary =
       Ok ()
   | exception Sys_error e -> Error (Printf.sprintf "cannot write report: %s" e)
 
+let violations_exit = 1
+
+let verdict ~passed =
+  if passed then `Ok Cmd.Exit.ok
+  else begin
+    prerr_endline "disco-check: invariant violations found";
+    `Ok violations_exit
+  end
+
 let run seed cases max_nodes scheme json out replay quiet jobs =
   let routers = routers_for scheme in
   (
@@ -92,9 +103,7 @@ let run seed cases max_nodes scheme json out replay quiet jobs =
               in
               match emit ~json ~out summary with
               | Error e -> `Error (false, e)
-              | Ok () ->
-                  if counterexamples = [] then `Ok ()
-                  else `Error (false, "invariant violations found"))
+              | Ok () -> verdict ~passed:(counterexamples = []))
       | None ->
           let on_case ~case ~failed =
             if not (quiet || json) then begin
@@ -110,17 +119,19 @@ let run seed cases max_nodes scheme json out replay quiet jobs =
           if not (quiet || json) then print_newline ();
           match emit ~json ~out summary with
           | Error e -> `Error (false, e)
-          | Ok () ->
-              if Check.Harness.passed summary then `Ok ()
-              else `Error (false, "invariant violations found"))
+          | Ok () -> verdict ~passed:(Check.Harness.passed summary))
 
 let cmd =
   let doc = "Property-based invariant checking for every registered router" in
+  let exits =
+    Cmd.Exit.info violations_exit ~doc:"when an invariant violation was found."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "disco-check" ~doc)
+    (Cmd.info "disco-check" ~doc ~exits)
     Term.(
       ret
         (const run $ seed_arg $ cases_arg $ max_nodes_arg $ scheme_arg $ json_arg
        $ out_arg $ replay_arg $ quiet_arg $ jobs_arg))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

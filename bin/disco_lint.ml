@@ -5,7 +5,9 @@
    With --typed it instead loads the .cmt files dune emitted under
    --build-dir, builds the interprocedural call graph and enforces the
    typed catalogue in Lint.Typed_rules (L7 alloc discipline, L8 domain
-   escape, L9 exception hygiene, H0 manifest integrity).
+   escape, L9 exception hygiene, L10 unreached code, H0 manifest
+   integrity).  The call graph always spans every library and executable
+   under --build-dir; the roots select which files' findings are shown.
 
    Exits 1 iff any error-severity diagnostic is reported, 2 on usage
    errors, including a root that does not exist or matches no
@@ -45,7 +47,7 @@ let () =
   in
   let spec =
     [
-      ("--typed", Arg.Set typed, " run the typed (.cmt-based) pass: L7/L8/L9/H0");
+      ("--typed", Arg.Set typed, " run the typed (.cmt-based) pass: L7-L10/H0");
       ( "--build-dir",
         Arg.Set_string build_dir,
         "DIR where dune put the .cmt files (default: _build/default)" );

@@ -45,6 +45,7 @@ let build ~rng graph =
     beacons;
   { graph; beacons; dist; parent; routing_beacons = min max_routing_beacons count }
 
+(* disco-lint: allow L10 test_bvr_seattle's "bvr coordinates" and "bvr beacon zero components" size the built slab by it *)
 let beacon_count t = Array.length t.beacons
 
 (* [Bigarray.Array1.get] on the concretely-typed slab compiles to an
@@ -53,6 +54,7 @@ let beacon_count t = Array.length t.beacons
    per-hop delta folds. *)
 let bdist t b v = Bigarray.Array1.get t.dist ((b * Graph.n t.graph) + v)
 
+(* disco-lint: allow L10 test_bvr_seattle's "bvr coordinates" and "bvr beacon zero components" read the distance slab forward uses through it *)
 let coordinate t v =
   Array.init (Array.length t.beacons) (fun b -> bdist t b v)
 

@@ -17,13 +17,11 @@ type t
 
 val build :
   ?params:Disco_core.Params.t ->
-  ?names:Disco_core.Name.t array ->
   ?landmark_ids:int array ->
   rng:Disco_util.Rng.t ->
   Disco_graph.Graph.t ->
   t
 
-val graph : t -> Disco_graph.Graph.t
 val landmarks : t -> Disco_core.Landmarks.t
 
 val radius : t -> int -> float

@@ -53,6 +53,7 @@ let build graph ~names =
 
 let shortest t ~src ~dst = Landmark_trees.path_from t.trees ~lm:src dst
 
+(* disco-lint: allow L10 test_bvr_seattle's "seattle first via resolver" computes the expected detour from it *)
 let resolver_of t dst = t.resolver.(dst)
 
 let state_entries t v = Graph.n t.graph - 1 + Packed.Csr.row_len t.directory v

@@ -10,14 +10,11 @@ type t = {
   k : int;
   level : int array; (* highest level each node belongs to *)
   pivot : int array array; (* pivot.(i).(v) = p_i(v); -1 if unreachable *)
-  pivot_dist : float array array; (* d(v, A_i) *)
   bunch : Packed.Csr.t; (* per node: sorted bunch member ids *)
-  bunch_d : Packed.Fslab.t; (* parallel to [bunch.data]: d(v, w) *)
   trees : Landmark_trees.t; (* per-pivot SSSP shared by both faces *)
 }
 
-let k t = t.k
-
+(* disco-lint: allow L10 test_tz_hierarchy's "levels nested" checks the sampled levels through it *)
 let level_sizes t =
   let sizes = Array.make t.k 0 in
   Array.iter
@@ -48,7 +45,7 @@ let scatter ~graph:g ~next_dist ~staging ~w ~i =
         if not (Hashtbl.mem settled u) then begin
           Hashtbl.replace settled u ();
           if d < next_dist i u then begin
-            if u <> w then Hashtbl.replace staging.(u) w d;
+            if u <> w then Hashtbl.replace staging.(u) w ();
             Graph.iter_neighbors g u (fun v wgt ->
                 let nd = d +. wgt in
                 match Hashtbl.find_opt dist v with
@@ -95,8 +92,8 @@ let build ~rng ~k graph =
       scatter ~graph ~next_dist ~staging ~w ~i
     done
   done;
-  (* Freeze the staged bunches into flat slabs: id-sorted CSR rows with a
-     parallel distance slab, binary-searched from here on. *)
+  (* Freeze the staged bunches into id-sorted CSR rows, binary-searched
+     from here on. *)
   let bunch =
     Packed.Csr.of_fn ~n
       ~row_len:(fun v -> Hashtbl.length staging.(v))
@@ -111,21 +108,13 @@ let build ~rng ~k graph =
         Array.sort Int.compare row;
         Array.blit row 0 data off (Array.length row))
   in
-  let bunch_d = Packed.Fslab.create (Packed.Csr.total bunch) ~init:infinity in
-  for v = 0 to n - 1 do
-    let off = Packed.Csr.row_off bunch v in
-    for j = 0 to Packed.Csr.row_len bunch v - 1 do
-      let w = Packed.Csr.get bunch v j in
-      Packed.Fslab.set bunch_d (off + j) (Hashtbl.find staging.(v) w)
-    done
-  done;
-  { graph; k; level; pivot; pivot_dist; bunch; bunch_d;
-    trees = Landmark_trees.create graph }
+  { graph; k; level; pivot; bunch; trees = Landmark_trees.create graph }
 
 let state t v = Packed.Csr.row_len t.bunch v + t.k
 
-(* Exact bytes of v's slice of the packed tables: its bunch row (8-byte id
-   + 8-byte distance per entry) plus a (pivot, distance) pair per level. *)
+(* Bytes of v's routing state: per bunch entry an 8-byte member id and an
+   8-byte word for the member's next hop, which [forward] reads from the
+   member's tree; per level a (pivot, next hop) pair likewise. *)
 let state_bytes t v =
   float_of_int ((16 * Packed.Csr.row_len t.bunch v) + (16 * t.k))
 

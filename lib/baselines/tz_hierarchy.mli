@@ -22,8 +22,6 @@ val build : rng:Disco_util.Rng.t -> k:int -> Disco_graph.Graph.t -> t
 (** [build ~rng ~k g] samples the hierarchy and computes all bunches.
     Requires [k >= 1]; [k = 1] degenerates to full shortest-path state. *)
 
-val k : t -> int
-
 val level_sizes : t -> int array
 (** |A_0|, ..., |A_{k-1}|. *)
 
@@ -31,9 +29,9 @@ val state : t -> int -> int
 (** Routing-table entries at a node: its bunch plus its per-level pivots. *)
 
 val state_bytes : t -> int -> float
-(** Exact bytes of a node's slice of the packed tables: its CSR bunch row
-    with the parallel distance slab (16 bytes per entry) plus a
-    (pivot, distance) pair per level. *)
+(** Bytes of a node's routing state: 16 per bunch entry (member id and
+    its next hop, read from the member's tree) and 16 per level (pivot and
+    its next hop). *)
 
 val stretch_bound : t -> float
 (** The scheme's worst-case guarantee, [2k - 1]. *)

@@ -19,19 +19,19 @@ type summary = {
 
 let passed s = s.counterexamples = []
 
-let shrink_failure ?routers ?spec_of ?shrink_budget sc =
+let shrink_failure ?routers ?spec_of sc =
   let still_fails c = Runner.failed (Runner.run ?routers ?spec_of c) in
-  let minimized, shrink_runs = Shrink.minimize ?budget:shrink_budget ~still_fails sc in
+  let minimized, shrink_runs = Shrink.minimize ~still_fails sc in
   let final = Runner.run ?routers ?spec_of minimized in
   { original = sc; minimized; shrink_runs; violations = final.Runner.violations }
 
-let check_scenario ?routers ?spec_of ?shrink_budget sc =
-  let outcome = Runner.run ?routers ?spec_of sc in
-  if Runner.failed outcome then
-    Some (shrink_failure ?routers ?spec_of ?shrink_budget sc)
+let check_scenario ?routers sc =
+  let outcome = Runner.run ?routers sc in
+  if Runner.failed outcome then Some (shrink_failure ?routers sc)
   else None
 
-let run_cases ?routers ?spec_of ?shrink_budget ?on_case ?(jobs = 1) ~run_seed
+(* disco-lint: allow L10 ?spec_of is the seam by which test_check's "broken router caught and shrunk" enters its fixture spec *)
+let run_cases ?routers ?spec_of ?on_case ?(jobs = 1) ~run_seed
     ~cases ~max_nodes () =
   (* Each case is fully determined by (run_seed, case, max_nodes) — routers
      are rebuilt per scenario — so the sweep parallelizes by case with no
@@ -43,7 +43,7 @@ let run_cases ?routers ?spec_of ?shrink_budget ?on_case ?(jobs = 1) ~run_seed
     let outcome = Runner.run ?routers ?spec_of sc in
     let cx =
       if Runner.failed outcome then
-        Some (shrink_failure ?routers ?spec_of ?shrink_budget sc)
+        Some (shrink_failure ?routers ?spec_of sc)
       else None
     in
     (outcome, cx)

@@ -24,7 +24,6 @@ type summary = {
 val run_cases :
   ?routers:Disco_experiments.Protocol.packed list ->
   ?spec_of:(string -> Spec.t) ->
-  ?shrink_budget:int ->
   ?on_case:(case:int -> failed:bool -> unit) ->
   ?jobs:int ->
   run_seed:int ->
@@ -42,8 +41,6 @@ val run_cases :
 
 val check_scenario :
   ?routers:Disco_experiments.Protocol.packed list ->
-  ?spec_of:(string -> Spec.t) ->
-  ?shrink_budget:int ->
   Scenario.t ->
   counterexample option
 (** Run one explicit scenario (the [--replay] path); [Some] iff it fails,

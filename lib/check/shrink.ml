@@ -29,7 +29,9 @@ let candidates (sc : t) =
   List.concat [ smaller_n; no_churn; plain_workload; fewer_pairs; simpler_family ]
   |> List.filter (fun c -> c <> sc)
 
-let minimize ?(budget = 40) ~still_fails sc =
+let budget = 40
+
+let minimize ~still_fails sc =
   let spent = ref 0 in
   let rec go sc =
     let rec try_candidates = function

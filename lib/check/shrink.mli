@@ -6,12 +6,12 @@
     fails. The seed is never changed, so the minimized scenario replays
     with the same [--replay] string.
 
-    [budget] bounds how many candidate runs the shrinker may spend
-    (each one re-runs every router over a fresh testbed). *)
+    It spends at most 40 candidate runs (each one re-runs every router
+    over a fresh testbed). *)
 
 val candidates : Scenario.t -> Scenario.t list
 (** Strictly-smaller variants of a scenario, most aggressive first. *)
 
 val minimize :
-  ?budget:int -> still_fails:(Scenario.t -> bool) -> Scenario.t -> Scenario.t * int
+  still_fails:(Scenario.t -> bool) -> Scenario.t -> Scenario.t * int
 (** The minimized scenario and how many candidate runs were spent. *)

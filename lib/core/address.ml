@@ -40,7 +40,6 @@ let decode g ~landmark ~labels ~hops =
   walk landmark hops []
 
 let hops t = Array.length t.route - 1
-let destination t = t.route.(Array.length t.route - 1)
 let route_byte_size t = (t.label_bits + 7) / 8
 let byte_size ~name_bytes t = name_bytes + route_byte_size t
 

@@ -35,8 +35,6 @@ val decode : Disco_graph.Graph.t -> landmark:int -> labels:bytes -> hops:int -> 
 val hops : t -> int
 (** Number of forwarding steps ([route length - 1]). *)
 
-val destination : t -> int
-
 val route_byte_size : t -> int
 (** Bytes occupied by the packed explicit route: [ceil (label_bits / 8)]. *)
 

@@ -581,6 +581,7 @@ let decode_into g pkt buf ~pos ~src =
 (* Load the scratch packet straight from a typed header (no wire bytes);
    the differential uses it to cross-check encode/decode against direct
    loading.  Setup-time. *)
+(* disco-lint: allow L10 test_wire_codec's differential compares decode_into against it *)
 let load_packet pkt h =
   pkt.pmode <- mode_of_phase h.phase;
   pkt.pdst <- h.dst;

@@ -17,9 +17,8 @@ let of_nddisco ~rng ?groups nd =
     resolution = Resolution.build nd;
   }
 
-let build ?params ?names ?landmark_ids ?groups ~rng graph =
-  let nd = Nddisco.build ?params ?names ?landmark_ids ~rng graph in
-  of_nddisco ~rng ?groups nd
+let build ?names ~rng graph =
+  of_nddisco ~rng (Nddisco.build ?names ~rng graph)
 
 type first_packet_case =
   | Trivial

@@ -20,16 +20,10 @@ type t = {
   resolution : Resolution.t;
 }
 
-val build :
-  ?params:Params.t ->
-  ?names:Name.t array ->
-  ?landmark_ids:int array ->
-  ?groups:Groups.t ->
-  rng:Disco_util.Rng.t ->
-  Disco_graph.Graph.t ->
-  t
-(** Build full converged Disco state over a graph. [groups] overrides the
-    default exact-estimate grouping (used by the n-error experiment). *)
+val build : ?names:Name.t array -> rng:Disco_util.Rng.t -> Disco_graph.Graph.t -> t
+(** Build full converged Disco state over a graph with the default
+    parameters, landmark draw and exact-estimate grouping; {!of_nddisco}
+    takes explicit groups (the n-error experiment). *)
 
 val of_nddisco : rng:Disco_util.Rng.t -> ?groups:Groups.t -> Nddisco.t -> t
 

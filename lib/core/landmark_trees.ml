@@ -23,6 +23,7 @@ let create graph =
 let tree t lm =
   Pool.Memo.find_or_add t.cache lm (fun ws -> Dijkstra.sssp ~ws t.graph lm)
 
+(* disco-lint: allow L10 test_integration's "dynamic landmark routes = static" and "event/static stretch agreement" take it as the static reference *)
 let dist t ~lm v = (tree t lm).Dijkstra.dist.(v)
 
 let path_from t ~lm v =

@@ -17,5 +17,3 @@ val hash : t -> Disco_hash.Hash_space.id
 (** Position in hash space: first 64 bits of SHA-256(name). *)
 
 val hash_array : t array -> Disco_hash.Hash_space.id array
-
-val byte_size : t -> int

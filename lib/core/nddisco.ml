@@ -24,6 +24,7 @@ type t = {
   addresses : addresses;
 }
 
+(* disco-lint: allow L10 ?guarantee_coverage is how test_coverage's "stretch 5/3 deterministic under coverage repair" builds on a repaired landmark set *)
 let build ?(params = Params.default) ?names ?landmark_ids ?(guarantee_coverage = false)
     ~rng graph =
   let n = Graph.n graph in

@@ -134,6 +134,7 @@ let build ~rng ?fingers (nd : Nddisco.t) groups =
   in
   { nd; groups; neighbor_sets; fingers_out = Array.map Array.of_list fingers_of }
 
+(* disco-lint: allow L10 test_overlay's "neighbors symmetric", "neighbors in group" and "out fingers recorded" check the built adjacency through it *)
 let neighbors t v = t.neighbor_sets.(v)
 let out_fingers t v = t.fingers_out.(v)
 let degree t v = Array.length t.neighbor_sets.(v)
@@ -183,16 +184,6 @@ let flood t ~src ~on_reach ~on_send =
     forward u dir hops
   done;
   hops_of
-
-let announcement_reaches t ~src ~dst =
-  let reached = ref false in
-  let hops_of =
-    flood t ~src
-      ~on_reach:(fun w _ -> if w = dst then reached := true)
-      ~on_send:(fun () -> ())
-  in
-  ignore hops_of;
-  !reached
 
 let disseminate t =
   let n = Array.length t.neighbor_sets in

@@ -43,7 +43,3 @@ type dissemination = {
 val disseminate : t -> dissemination
 (** Simulate the directional flooding of one address announcement from
     every node to its group. *)
-
-val announcement_reaches : t -> src:int -> dst:int -> bool
-(** Does [src]'s announcement reach [dst] under directional forwarding?
-    (Used by failure-injection tests and the n-error experiment.) *)

@@ -3,8 +3,6 @@ module Grow = struct
 
   let create ?(capacity = 16) () = { data = Array.make (max 1 capacity) 0; len = 0 }
   let len t = t.len
-  let get t i = t.data.(i)
-  let set t i x = t.data.(i) <- x
 
   let push t x =
     if t.len >= Array.length t.data then begin
@@ -15,7 +13,6 @@ module Grow = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let clear t = t.len <- 0
   let to_array t = Array.sub t.data 0 t.len
 end
 
@@ -58,7 +55,6 @@ module Csr = struct
   let row_len t i = t.off.(i + 1) - t.off.(i)
   let row_off t i = t.off.(i)
   let get t i j = t.data.(t.off.(i) + j)
-  let total t = Array.length t.data
 
   let iter_row t i f =
     for j = t.off.(i) to t.off.(i + 1) - 1 do
@@ -82,8 +78,6 @@ module Csr = struct
     let stop = t.off.(i + 1) in
     let idx = lower_bound t.data x t.off.(i) stop in
     if idx < stop && t.data.(idx) = x then idx - t.off.(i) else -1
-
-  let byte_size t = 8 * (Array.length t.off + Array.length t.data)
 end
 
 module Fslab = struct
@@ -94,10 +88,7 @@ module Fslab = struct
     Bigarray.Array1.fill a init;
     a
 
-  let len (t : t) = Bigarray.Array1.dim t
-  let get (t : t) i = Bigarray.Array1.get t i
   let set (t : t) i x = Bigarray.Array1.set t i x
-  let byte_size (t : t) = 8 * Bigarray.Array1.dim t
 end
 
 module Kv64 = struct
@@ -136,14 +127,6 @@ module Kv64 = struct
       else hi := mid
     done;
     !lo
-
-  let find t probe =
-    let i = rank_geq t probe in
-    if i < Array.length t.vals && Int64.equal (Bigarray.Array1.get t.keys i) probe
-    then t.vals.(i)
-    else -1
-
-  let byte_size t = 16 * Array.length t.vals
 end
 
 module Bitvec = struct
@@ -160,9 +143,6 @@ module Bitvec = struct
       mask = (1 lsl width) - 1;
       len;
     }
-
-  let width t = t.width
-  let len t = t.len
 
   let get t i =
     (t.words.(i / t.per_word) lsr (i mod t.per_word * t.width)) land t.mask
@@ -326,12 +306,10 @@ module Othello = struct
     Bitvec.get t.ma (mix t.ca hi lo land t.mask)
     lxor Bitvec.get t.mb (mix t.cb hi lo land t.mask)
 
-  let length t = t.n
+  (* disco-lint: allow L10 test_packed's "othello rebuild on collision" detects the rebuild through it *)
   let seed t = t.seed
-  let byte_size t = Bitvec.byte_size t.ma + Bitvec.byte_size t.mb
 
-  let bits_per_key t =
-    if t.n = 0 then 0.0 else float_of_int (8 * byte_size t) /. float_of_int t.n
+  let byte_size t = Bitvec.byte_size t.ma + Bitvec.byte_size t.mb
 end
 
 module Fenwick = struct
@@ -376,8 +354,6 @@ module Fenwick = struct
       bit := !bit / 2
     done;
     !pos
-
-  let byte_size t = 8 * Array.length t.tree
 end
 
 let split64 x =

@@ -14,10 +14,7 @@ module Grow : sig
 
   val create : ?capacity:int -> unit -> t
   val len : t -> int
-  val get : t -> int -> int
-  val set : t -> int -> int -> unit
   val push : t -> int -> unit
-  val clear : t -> unit
   val to_array : t -> int array
 end
 
@@ -41,7 +38,6 @@ module Csr : sig
   val row_len : t -> int -> int
   val row_off : t -> int -> int
   val get : t -> int -> int -> int
-  val total : t -> int
   val iter_row : t -> int -> (int -> unit) -> unit
   val sub_row : t -> int -> int array
   (** Fresh copy of row [i]; boxed-face convenience, not for hot paths. *)
@@ -49,8 +45,6 @@ module Csr : sig
   val find_sorted : t -> int -> int -> int
   (** [find_sorted t i x] is the index of [x] within row [i] (which must be
       sorted ascending), or [-1]. Binary search; allocation-free. *)
-
-  val byte_size : t -> int
 end
 
 (** Flat [float] slab backed by a float64 [Bigarray]; reads are unboxed. *)
@@ -58,15 +52,12 @@ module Fslab : sig
   type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   val create : int -> init:float -> t
-  val len : t -> int
-  val get : t -> int -> float
   val set : t -> int -> float -> unit
-  val byte_size : t -> int
 end
 
 (** Sorted 64-bit keys in an int64 [Bigarray] slab with parallel int
-    values: the binary-search map backing resolution tables and
-    consistent-hash rings. Keys are ordered as unsigned integers, ties
+    values: the binary-search map behind resolution's hash-order lookup.
+    Keys are ordered as unsigned integers, ties
     broken by value, matching the hash-ring conventions in
     [Disco_hash]. Reading a key boxes an [Int64]; hot paths keep
     (hi, lo) 31-bit halves elsewhere and never touch [key]. *)
@@ -81,12 +72,6 @@ module Kv64 : sig
   val rank_geq : t -> int64 -> int
   (** First index whose key is >= the probe (unsigned order);
       [length t] if none. *)
-
-  val find : t -> int64 -> int
-  (** Value at the probe key, or [-1] when absent. With duplicate keys,
-      the one with the smallest value wins (the sort order). *)
-
-  val byte_size : t -> int
 end
 
 (** Fixed-width bit-packed int vector (width 1..30); the value slabs of
@@ -96,8 +81,6 @@ module Bitvec : sig
   type t
 
   val create : width:int -> len:int -> t
-  val width : t -> int
-  val len : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
   val byte_size : t -> int
@@ -122,12 +105,10 @@ module Othello : sig
       key is a 2-cycle in the bipartite graph and can never peel. *)
 
   val query : t -> hi:int -> lo:int -> int
-  val length : t -> int
 
   val seed : t -> int
   (** Final seed; > 0 iff at least one cyclic draw forced a rebuild. *)
 
-  val bits_per_key : t -> float
   val byte_size : t -> int
 end
 
@@ -148,8 +129,6 @@ module Fenwick : sig
   (** [kth t k] is the index holding the (k+1)-th unit (0-based rank);
       counts must be 0/1 for rank semantics. Raises [Invalid_argument]
       when [k < 0 || k >= total t]. *)
-
-  val byte_size : t -> int
 end
 
 val split64 : int64 -> int * int

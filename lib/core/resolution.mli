@@ -21,13 +21,10 @@ val owner : t -> Name.t -> int
 val owners_by_node : t -> int array
 (** [owner] applied to every node's name, computed once and cached. *)
 
-val entries_per_landmark : t -> (int * int) list
-(** Resolution-database load: for each landmark, how many of the n names
-    it stores (Theorem 2: O(sqrt(n log n)) w.h.p. with one hash;
-    multiple replicas flatten it). *)
-
 val entries_at : t -> int -> int
-(** Load at one node (0 for non-landmarks). *)
+(** Resolution-database load at one node: how many of the n names it
+    stores, 0 for non-landmarks (Theorem 2: O(sqrt(n log n)) w.h.p. with
+    one hash; multiple replicas flatten it). *)
 
 val resolve_then_route : ?heuristic:Shortcut.heuristic -> t -> src:int -> dst:int -> int list
 (** The first-packet route when resolution is the only name service, as in
@@ -46,10 +43,6 @@ val fib : t -> Packed.Othello.t
     owning landmark, built on demand from the ring. Lookup is two bit-array
     probes and an xor — the FIB the compiled fast path queries instead of a
     materialised per-node owner array. Agrees with [owners_by_node]. *)
-
-val byte_size : t -> int
-(** Exact bytes of the packed ring, the sorted hash slab, and the Othello
-    FIB (when built). *)
 
 val ring_byte_size : t -> int
 (** Exact bytes of just the consistent-hash ring (every node stores it). *)

@@ -49,8 +49,10 @@ let build g (landmarks : Landmarks.t) =
   { landmarks; labels; range_hi; children; bits }
 
 let bits t = t.bits
+(* disco-lint: allow L10 test_tree_address's "labels unique per tree" and "landmark root label" check the allocation route walks through it *)
 let label_of t v = t.labels.(v)
 
+(* disco-lint: allow L10 test_tree_address's "route matches forest" proves through it that the ceil(log2 n)-bit labels the addr figure sizes actually route *)
 let route t v =
   let lm = t.landmarks.Landmarks.nearest.(v) in
   let target = t.labels.(v) in
@@ -67,29 +69,5 @@ let route t v =
     end
   in
   walk lm []
-
-let encode_label t v =
-  let writer = Disco_util.Bits.Writer.create () in
-  Disco_util.Bits.Writer.put writer t.labels.(v) ~width:t.bits;
-  Disco_util.Bits.Writer.to_bytes writer
-
-let decode_label t ~landmark bytes =
-  let reader = Disco_util.Bits.Reader.of_bytes bytes in
-  let target = Disco_util.Bits.Reader.get reader ~width:t.bits in
-  if target < t.labels.(landmark) || target >= t.range_hi.(landmark) then
-    invalid_arg "Tree_address.decode_label: label outside landmark's block";
-  let rec walk u =
-    if t.labels.(u) = target then u
-    else begin
-      match
-        List.find_opt
-          (fun c -> t.labels.(c) <= target && target < t.range_hi.(c))
-          t.children.(u)
-      with
-      | Some c -> walk c
-      | None -> invalid_arg "Tree_address.decode_label: label not in any child block"
-    end
-  in
-  walk landmark
 
 let byte_size ~name_bytes t = name_bytes + ((t.bits + 7) / 8)

@@ -32,18 +32,5 @@ val route : t -> int -> int list
     returns the node path [l_v; ...; v] — it must equal the forest path
     (tested), demonstrating the scheme routes correctly. *)
 
-val encode_label : t -> int -> bytes
-(** [encode_label t v] packs [label_of t v] into exactly [bits t] bits
-    (MSB-first, final partial byte zero-padded) — the fixed-width wire
-    form this variant was sketched for. *)
-
-val decode_label : t -> landmark:int -> bytes -> int
-(** [decode_label t ~landmark bytes] reads a [bits t]-wide label and
-    resolves it to the node holding it in [landmark]'s tree, by the same
-    block-containment walk forwarding uses. Inverse of {!encode_label}
-    when [landmark] is the node's tree root (property-tested).
-    @raise Invalid_argument if the label falls outside [landmark]'s
-    block. *)
-
 val byte_size : name_bytes:int -> t -> int
 (** Wire size of one address: landmark name + fixed label. *)

@@ -73,10 +73,6 @@ let find_index vw w =
 
 let mem t v w = find_index (view t v) w <> None
 
-let dist t v w =
-  let vw = view t v in
-  Option.map (fun i -> vw.dists.(i)) (find_index vw w)
-
 let path t v w =
   let vw = view t v in
   match find_index vw w with
@@ -92,12 +88,6 @@ let path t v w =
         end
       in
       back vw.parents.(i) [ w ]
-
-let first_hop_count t v =
-  let vw = view t v in
-  let count = ref 0 in
-  Array.iter (fun p -> if p = v then incr count) vw.parents;
-  !count
 
 let precompute_all t =
   for v = 0 to Graph.n t.graph - 1 do

@@ -29,16 +29,9 @@ val view : t -> int -> view
 val mem : t -> int -> int -> bool
 (** [mem t v w]: is [w] in V(v)? (Not symmetric!) *)
 
-val dist : t -> int -> int -> float option
-(** Distance [d(v, w)] if [w] is in V(v). *)
-
 val path : t -> int -> int -> int list option
 (** Shortest path [v; ...; w] if [w] is in V(v). *)
 
-val first_hop_count : t -> int -> int
-(** Number of distinct first hops used by v's vicinity routes — the
-    forwarding-label mappings v must retain for them (Theorem 2's
-    label-mapping state term). *)
 
 val precompute_all : t -> unit
 (** Force every view into the cache (used before tight measurement

@@ -7,20 +7,11 @@ module Params = Disco_core.Params
 module Name = Disco_core.Name
 module Dataplane = Disco_core.Dataplane
 
-type config = {
-  hello_interval : float;
-  refresh_interval : float;
-  addr_interval : float;
-  params : Params.t;
-}
-
-let default_config =
-  {
-    hello_interval = 5.0;
-    refresh_interval = 30.0;
-    addr_interval = 120.0;
-    params = Params.default;
-  }
+(* Protocol timers, in simulated seconds. *)
+let hello_interval = 5.0
+let refresh_interval = 30.0 (* route re-announcement period *)
+let addr_interval = 120.0 (* the paper's t (address refresh) *)
+let params = Params.default
 
 type route = {
   r_dist : float;
@@ -53,7 +44,6 @@ type node = {
 
 type t = {
   graph : Graph.t;
-  config : config;
   sim : Msg.t Sim.t;
   nodes : node array;
   ring : Consistent_hash.t; (* every node's resolution points (§4.3) *)
@@ -94,19 +84,19 @@ let address_of t v =
         Some { Msg.lm; lm_path = List.rev r.r_path }
   end
 
-let vicinity_k nd config = Params.vicinity_size config.params ~n:nd.n_est
+let vicinity_k nd = Params.vicinity_size params ~n:nd.n_est
 
 let neighbor_alive t nd nbr =
   t.nodes.(nbr).active
   &&
   match Hashtbl.find_opt nd.last_heard nbr with
-  | Some heard -> now t -. heard <= 3.0 *. t.config.hello_interval
+  | Some heard -> now t -. heard <= 3.0 *. hello_interval
   | None -> false
 
 (* --- route table maintenance ------------------------------------------- *)
 
-let route_ttl t = 2.5 *. t.config.refresh_interval
-let addr_ttl t = (2.0 *. t.config.addr_interval) +. 1.0
+let route_ttl = 2.5 *. refresh_interval
+let addr_ttl = (2.0 *. addr_interval) +. 1.0
 
 let announce_route t nd dest =
   match Hashtbl.find_opt nd.routes dest with
@@ -136,7 +126,7 @@ let consider_route t nd ~dest ~dest_is_lm ~dist ~path =
   if dest = nd.id || List.mem nd.id path then ()
   else begin
     let fresh = { r_dist = dist; r_path = nd.id :: path; r_is_lm = dest_is_lm;
-                  r_expires = now t +. route_ttl t }
+                  r_expires = now t +. route_ttl }
     in
     let install () =
       Hashtbl.replace nd.routes dest fresh;
@@ -155,7 +145,7 @@ let consider_route t nd ~dest ~dest_is_lm ~dist ~path =
     | None ->
         if dest_is_lm then install ()
         else begin
-          let k = vicinity_k nd t.config in
+          let k = vicinity_k nd in
           let count = ref 0 and worst = ref (-1) and worst_dist = ref neg_infinity in
           Hashtbl.iter
             (fun d r ->
@@ -239,15 +229,15 @@ let store_addr t nd ~origin ~addr =
   | Some e ->
       let changed = not (Msg.equal_address e.a_addr addr) in
       e.a_addr <- addr;
-      e.a_expires <- now t +. addr_ttl t;
-      if changed || now t -. e.a_forwarded >= 0.9 *. t.config.addr_interval then begin
+      e.a_expires <- now t +. addr_ttl;
+      if changed || now t -. e.a_forwarded >= 0.9 *. addr_interval then begin
         e.a_forwarded <- now t;
         true
       end
       else false
   | None ->
       Hashtbl.replace nd.addr_store origin
-        { a_addr = addr; a_expires = now t +. addr_ttl t; a_forwarded = now t };
+        { a_addr = addr; a_expires = now t +. addr_ttl; a_forwarded = now t };
       true
 
 (* Overlay links: successor/predecessor among known group members plus the
@@ -292,7 +282,7 @@ let gossip_addr t nd ~origin ~origin_hash ~addr ~exclude_direction =
           (Msg.Addr_gossip { origin; origin_hash; addr; sender_hash = nd.hash }))
     (overlay_links t nd)
 
-let refresh_fingers t nd =
+let refresh_fingers nd =
   let members =
     Hashtbl.fold (fun o _ acc -> if o <> nd.id then o :: acc else acc) nd.addr_store []
   in
@@ -301,7 +291,7 @@ let refresh_fingers t nd =
   | _ ->
       let arr = Array.of_list members in
       nd.fingers <-
-        List.init t.config.params.Params.fingers (fun _ ->
+        List.init params.Params.fingers (fun _ ->
             arr.(Rng.int nd.rng (Array.length arr)))
         |> List.sort_uniq Int.compare
 
@@ -312,7 +302,7 @@ let rec hello_timer t v () =
   if nd.active then begin
     Graph.iter_neighbors t.graph v (fun nbr _ ->
         if t.nodes.(nbr).active then Sim.send t.sim ~src:v ~dst:nbr Msg.Hello);
-    Sim.schedule t.sim ~delay:t.config.hello_interval (hello_timer t v)
+    Sim.schedule t.sim ~delay:hello_interval (hello_timer t v)
   end
 
 let rec refresh_timer t v () =
@@ -322,7 +312,7 @@ let rec refresh_timer t v () =
     purge_addrs t nd;
     announce_self t nd;
     Hashtbl.iter (fun dest _ -> announce_route t nd dest) nd.routes;
-    Sim.schedule t.sim ~delay:t.config.refresh_interval (refresh_timer t v)
+    Sim.schedule t.sim ~delay:refresh_interval (refresh_timer t v)
   end
 
 let rec addr_timer t v () =
@@ -342,13 +332,13 @@ let rec addr_timer t v () =
         | Some _ ->
             (* We are the owner: store locally. *)
             Hashtbl.replace nd.res_store v
-              { a_addr = addr; a_expires = now t +. addr_ttl t; a_forwarded = now t }
+              { a_addr = addr; a_expires = now t +. addr_ttl; a_forwarded = now t }
         | None -> ());
         (* ...and gossip it through the sloppy group. *)
-        refresh_fingers t nd;
+        refresh_fingers nd;
         ignore (store_addr t nd ~origin:v ~addr : bool);
         gossip_addr t nd ~origin:v ~origin_hash:nd.hash ~addr ~exclude_direction:None));
-    Sim.schedule t.sim ~delay:t.config.addr_interval (addr_timer t v)
+    Sim.schedule t.sim ~delay:addr_interval (addr_timer t v)
   end
 
 (* --- message handling ---------------------------------------------------- *)
@@ -374,7 +364,7 @@ let handle t v ~src msg =
     | Msg.Resolve_insert { origin; addr; target_lm } ->
         if v = target_lm then begin
           Hashtbl.replace nd.res_store origin
-            { a_addr = addr; a_expires = now t +. addr_ttl t; a_forwarded = now t };
+            { a_addr = addr; a_expires = now t +. addr_ttl; a_forwarded = now t };
           (* Bootstrap reply: hand the inserter the closest stored hashes
              of its own group so it can join the dissemination overlay. *)
           let origin_hash = t.nodes.(origin).hash in
@@ -426,7 +416,7 @@ let handle t v ~src msg =
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
-let create ?(config = default_config) ~rng ~graph ~n_estimate () =
+let create ~rng ~graph ~n_estimate () =
   let n = Graph.n graph in
   let nodes =
     Array.init n (fun id ->
@@ -449,10 +439,10 @@ let create ?(config = default_config) ~rng ~graph ~n_estimate () =
   (* Names never change, so neither do their ring points: one ring over
      every node serves each node's own landmark set. *)
   let ring =
-    Consistent_hash.create ~replicas:config.params.Params.resolution_replicas
+    Consistent_hash.create ~replicas:params.Params.resolution_replicas
       ~owners:(Array.init n Fun.id) ~owner_name:Name.default ()
   in
-  let t = { graph; config; sim = Sim.create ~graph (); nodes; ring } in
+  let t = { graph; sim = Sim.create ~graph (); nodes; ring } in
   Sim.set_handler t.sim (handle t);
   t
 
@@ -460,7 +450,7 @@ let activate t v =
   let nd = t.nodes.(v) in
   if not nd.active then begin
     nd.active <- true;
-    nd.is_lm <- Rng.bernoulli nd.rng (Params.landmark_probability t.config.params ~n:nd.n_est);
+    nd.is_lm <- Rng.bernoulli nd.rng (Params.landmark_probability params ~n:nd.n_est);
     nd.lm_ref_n <- nd.n_est;
     Hashtbl.reset nd.routes;
     Hashtbl.reset nd.addr_store;
@@ -471,7 +461,7 @@ let activate t v =
     Sim.schedule t.sim ~delay:(jitter 1.0) (fun () ->
         announce_self t t.nodes.(v);
         refresh_timer t v ());
-    Sim.schedule t.sim ~delay:(2.0 +. jitter t.config.hello_interval) (addr_timer t v)
+    Sim.schedule t.sim ~delay:(2.0 +. jitter hello_interval) (addr_timer t v)
   end
 
 let activate_all t =
@@ -481,6 +471,7 @@ let activate_all t =
 
 let deactivate t v = t.nodes.(v).active <- false
 
+(* disco-lint: allow L10 test_dynamic's "fixed-seed trajectory is pinned" moves estimates through it, and ROADMAP item 6 drives demotions with it *)
 let set_estimate t v ~n =
   let nd = t.nodes.(v) in
   nd.n_est <- n;
@@ -488,7 +479,7 @@ let set_estimate t v ~n =
   let ratio = float_of_int (max n nd.lm_ref_n) /. float_of_int (max 1 (min n nd.lm_ref_n)) in
   if nd.active && ratio >= 2.0 then begin
     nd.lm_ref_n <- n;
-    let status = Rng.bernoulli nd.rng (Params.landmark_probability t.config.params ~n) in
+    let status = Rng.bernoulli nd.rng (Params.landmark_probability params ~n) in
     if status <> nd.is_lm then begin
       nd.is_lm <- status;
       announce_self t nd

@@ -30,19 +30,9 @@
     {!Disco_core.Dataplane.walk}, one {!forward} decision per node, using
     only that node's state, like {!Disco_core.Forwarding}. *)
 
-type config = {
-  hello_interval : float;
-  refresh_interval : float;  (** route re-announcement period *)
-  addr_interval : float;  (** the paper's t (address refresh) *)
-  params : Disco_core.Params.t;
-}
-
-val default_config : config
-
 type t
 
 val create :
-  ?config:config ->
   rng:Disco_util.Rng.t ->
   graph:Disco_graph.Graph.t ->
   n_estimate:int ->
@@ -50,8 +40,10 @@ val create :
   t
 (** A network over [graph] with all nodes initially inactive. [n_estimate]
     seeds every node's size estimate (drive it later with
-    {!set_estimate}). Builds the resolution ring over every node, with
-    [config.params.resolution_replicas] points each. *)
+    {!set_estimate}). Hellos go every 5 s, route re-announcements every
+    30 s and address refreshes every 120 s (the paper's t), under
+    {!Disco_core.Params.default}. Builds the resolution ring over every
+    node, with [resolution_replicas] points each. *)
 
 val activate : t -> int -> unit
 (** Bring a node up: it draws landmark status, starts its timers and

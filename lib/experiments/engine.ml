@@ -24,7 +24,7 @@ let draw_pairs ?(dests_per_src = 8) rng ~n ~pairs =
       let ds =
         List.init dests_per_src (fun _ -> Rng.int rng n)
         |> List.filter (fun d -> d <> s)
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       (s, ds))
 

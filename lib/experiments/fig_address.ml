@@ -27,7 +27,8 @@ let addr (cfg : Engine.config) =
      paper's claim is that it "would actually increase the mean address
      size in practice" — compare. *)
   let ta = Core.Tree_address.build tb.Testbed.graph nd.Core.Nddisco.landmarks in
-  let fixed_bytes = float_of_int ((Core.Tree_address.bits ta + 7) / 8) in
+  (* Label bytes only: the explicit-route sizes above exclude the name too. *)
+  let fixed_bytes = float_of_int (Core.Tree_address.byte_size ~name_bytes:0 ta) in
   Report.kv "tree-address variant"
     (Printf.sprintf "fixed %d bits = %.0f bytes per address (vs %.2f mean explicit)"
        (Core.Tree_address.bits ta) fixed_bytes (Stats.mean sizes));

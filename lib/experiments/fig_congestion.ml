@@ -18,7 +18,7 @@ let fig10 (cfg : Engine.config) =
   Report.summary_line ~label:"pathvector" c.Metrics.c_pathvector;
   let tail label samples =
     let sorted = Array.copy samples in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let m = Array.length sorted in
     let pick q = sorted.(min (m - 1) (int_of_float (q *. float_of_int m))) in
     Report.kv

@@ -56,7 +56,7 @@ let policy (cfg : Engine.config) =
   let expected = Core.Params.vicinity_size Core.Params.default ~n in
   let by_degree =
     let nodes = Array.init n Fun.id in
-    Array.sort (fun a b -> compare (Graph.degree graph b) (Graph.degree graph a)) nodes;
+    Array.sort (fun a b -> Int.compare (Graph.degree graph b) (Graph.degree graph a)) nodes;
     Array.sub nodes 0 expected
   in
   let measure label landmark_ids =

@@ -6,8 +6,6 @@ module Telemetry = Disco_util.Telemetry
 
 type scale = Scale.t = Small | Paper
 
-let scale_of_string = Scale.of_string
-
 let runners : (string * (Engine.config -> unit)) list =
   [
     ("fig1", Fig_compare.fig1);

@@ -16,7 +16,6 @@
 
 type scale = Scale.t = Small | Paper
 
-val scale_of_string : string -> scale option
 val all_ids : string list
 
 val run : ?seed:int -> ?jobs:int -> scale -> string -> unit

@@ -72,7 +72,8 @@ let stretch ?(pairs = 2000) ?(with_vrr = false) ?jobs (tb : Testbed.t) =
   in
   let vrr_failures =
     Array.fold_left
-      (fun acc (_, _, _, _, v) -> if v = Some None then acc + 1 else acc)
+      (fun acc (_, _, _, _, v) ->
+        match v with Some None -> acc + 1 | Some (Some _) | None -> acc)
       0 per_pair
   in
   {

@@ -3,12 +3,12 @@ module Stats = Disco_util.Stats
 let section title = Printf.printf "\n== %s ==\n" title
 let kv key value = Printf.printf "  %s: %s\n" key value
 
-let cdf_series ~label ?(points = 20) samples =
+let cdf_series ~label samples =
   if Array.length samples = 0 then Printf.printf "%s (no samples)\n" label
   else
     List.iter
       (fun (v, f) -> Printf.printf "%s %.6g %.4f\n" label v f)
-      (Stats.cdf_points samples points)
+      (Stats.cdf_points samples 20)
 
 let summary_line ~label samples =
   if Array.length samples = 0 then Printf.printf "  %-28s (no samples)\n" label

@@ -10,8 +10,9 @@ val section : string -> unit
 val kv : string -> string -> unit
 (** Print an indented "key: value" line. *)
 
-val cdf_series : label:string -> ?points:int -> float array -> unit
-(** Print an empirical CDF of the samples as "label value fraction" rows. *)
+val cdf_series : label:string -> float array -> unit
+(** Print an empirical CDF of the samples as 20 "label value fraction"
+    rows. *)
 
 val summary_line : label:string -> float array -> unit
 (** One-line mean/p50/p95/max summary of a sample. *)

@@ -375,5 +375,4 @@ let () =
    registrations above have run, whatever the link order. *)
 let all () = Protocol.all ()
 let names () = Protocol.names ()
-let find = Protocol.find
 let find_exn = Protocol.find_exn

@@ -11,5 +11,4 @@ val all : unit -> Protocol.packed list
     {!Protocol.all}) so the built-ins are guaranteed to be loaded. *)
 
 val names : unit -> string list
-val find : string -> Protocol.packed option
 val find_exn : string -> Protocol.packed

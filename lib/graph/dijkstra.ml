@@ -220,13 +220,6 @@ let path_of_parents ~parent ~src ~dst =
   in
   walk dst [] 1_000_000_000
 
-let truncated_lookup t =
-  let tbl = Hashtbl.create (2 * Array.length t.order) in
-  Array.iteri
-    (fun i v -> Hashtbl.replace tbl v (t.tdist.(i), t.tparent.(i)))
-    t.order;
-  fun v -> Hashtbl.find_opt tbl v
-
 let path_length g path =
   let rec go acc = function
     | [] | [ _ ] -> acc

@@ -78,10 +78,6 @@ val path_of_parents : parent:(int -> int) -> src:int -> dst:int -> int list
     @raise Invalid_argument if the walk does not reach [src] within n
     steps (caller passes a closure that knows its own bounds). *)
 
-val truncated_lookup : truncated -> (int -> (float * int) option)
-(** Build an O(1) lookup from node id to (distance, predecessor) over a
-    truncated run's settled set. *)
-
 val path_length : Graph.t -> int list -> float
 (** Total weight of a node path.
     @raise Invalid_argument on a non-path (missing edge). *)

@@ -171,12 +171,12 @@ let power_law ~rng ~n ~attach =
    uniform draw ∝ d_v, and thinning by the accept probability 1 − β/d_v
    turns that into GLP's shifted preference without per-node weights. With
    probability [p] a step adds [m] links between existing nodes; otherwise
-   it adds a new node with [m] links. The defaults are the paper's fit to
+   it adds a new node with [m] links. The constants are the paper's fit to
    AS-graph degree laws; [m = 1] keeps the edge count linear in n, which
    is what lets the scaling sweep grow this to a million nodes. *)
-let glp ?(m = 1) ?(p = 0.4695) ?(beta = 0.6447) ~rng ~n () =
+let glp ~rng ~n () =
   if n < 2 then invalid_arg "Gen.glp: n < 2";
-  if beta >= 1.0 then invalid_arg "Gen.glp: beta must be < 1";
+  let m = 1 and p = 0.4695 and beta = 0.6447 in
   let b = Graph.Builder.create n in
   let degree = Array.make n 0 in
   let store = ref (Array.make (max 16 (8 * m)) 0) in

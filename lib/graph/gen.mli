@@ -48,13 +48,11 @@ val internet_router : rng:Disco_util.Rng.t -> n:int -> Graph.t
     [attach = 3] plus 10% uniform-random extra edges (flatter tail and
     higher local meshing, as in router maps). *)
 
-val glp :
-  ?m:int -> ?p:float -> ?beta:float -> rng:Disco_util.Rng.t -> n:int ->
-  unit -> Graph.t
+val glp : rng:Disco_util.Rng.t -> n:int -> unit -> Graph.t
 (** Generalized linear preference (Bu & Towsley 2002): attachment
     probability ∝ (degree − [beta]); with probability [p] a step adds [m]
-    links between existing nodes, else a new node with [m] links. Defaults
-    ([m = 1], [p = 0.4695], [beta = 0.6447]) are the paper's AS-graph fit;
+    links between existing nodes, else a new node with [m] links. The
+    constants ([m = 1], [p = 0.4695], [beta = 0.6447]) are the paper's AS-graph fit;
     the linear edge count is what the million-node scaling sweep relies
     on. Unit weights, stitched connected. *)
 

@@ -56,7 +56,7 @@ module Builder = struct
     for u = 0 to n - 1 do
       let lo = row.(u) and hi = row.(u + 1) in
       let idx = Array.init (hi - lo) (fun i -> lo + i) in
-      Array.sort (fun a b -> compare col.(a) col.(b)) idx;
+      Array.sort (fun a b -> Int.compare col.(a) col.(b)) idx;
       let c = Array.map (fun i -> col.(i)) idx in
       let w = Array.map (fun i -> wgt.(i)) idx in
       Array.blit c 0 col lo (hi - lo);
@@ -79,6 +79,7 @@ let neighbors t u =
       let j = t.row.(u) + i in
       (t.col.(j), t.wgt.(j)))
 
+(* disco-lint: allow L10 only test_graph's "fold neighbors" calls it; its deletion with that test is left open on ROADMAP item 9 *)
 let fold_neighbors t u ~init ~f =
   let acc = ref init in
   iter_neighbors t u (fun v w -> acc := f !acc v w);
@@ -119,6 +120,7 @@ let neighbor_rank t u v =
 let edge_weight t u v = Option.map (fun slot -> t.wgt.(slot)) (find_slot t u v)
 let edge_index t u v = find_slot t u v
 
+(* disco-lint: allow L10 only test_graph's "arc endpoints inverse" calls it; its deletion with that test is left open on ROADMAP item 9 *)
 let arc_endpoints t idx =
   if idx < 0 || idx >= t.row.(t.n) then invalid_arg "Graph.arc_endpoints";
   (* Binary search in row offsets for the source node. *)
@@ -139,6 +141,7 @@ let edges t =
   done;
   !acc
 
+(* disco-lint: allow L10 test_gen's generator tests take it as the connectivity reference *)
 let is_connected t =
   let seen = Array.make t.n false in
   let stack = ref [ 0 ] in

@@ -22,7 +22,7 @@ let of_lines lines =
     (fun line ->
       incr line_no;
       let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then
+      if (not (String.equal line "")) && not (Char.equal line.[0] '#') then
         match (!builder, String.split_on_char ' ' line) with
         | None, [ "n"; count ] -> (
             match int_of_string_opt count with
@@ -43,24 +43,14 @@ let of_lines lines =
   | Some b -> Graph.Builder.build b
 
 let of_string s = of_lines (String.split_on_char '\n' s |> List.to_seq)
-
-let of_channel ic =
-  let rec read acc =
-    match input_line ic with
-    | line -> read (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  of_lines (List.to_seq (read []))
+let of_channel ic = of_string (In_channel.input_all ic)
 
 let of_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
 
-let to_dot ?(highlight = []) ?label g =
+let to_dot ?(highlight = []) g =
   let buf = Buffer.create 4096 in
-  let label v =
-    match label with Some f -> f v | None -> string_of_int v
-  in
   let hot = Hashtbl.create 16 in
   let rec mark = function
     | u :: (v :: _ as rest) ->
@@ -74,7 +64,7 @@ let to_dot ?(highlight = []) ?label g =
   Buffer.add_string buf "graph disco {\n  node [shape=circle fontsize=10];\n";
   for v = 0 to Graph.n g - 1 do
     Buffer.add_string buf
-      (Printf.sprintf "  %d [label=\"%s\"%s];\n" v (label v)
+      (Printf.sprintf "  %d [label=\"%d\"%s];\n" v v
          (if Hashtbl.mem on_route v then " style=filled fillcolor=salmon" else ""))
   done;
   List.iter

@@ -15,8 +15,7 @@ val of_file : string -> Graph.t
 val of_string : string -> Graph.t
 val to_string : Graph.t -> string
 
-val to_dot :
-  ?highlight:int list -> ?label:(int -> string) -> Graph.t -> string
-(** Graphviz rendering: [highlight] paints a route (consecutive nodes get
-    red edges), [label] overrides node labels. Useful with the
+val to_dot : ?highlight:int list -> Graph.t -> string
+(** Graphviz rendering, nodes labelled by id: [highlight] paints a route
+    (consecutive nodes get red edges). Useful with the
     [disco-sim trace] output for visual debugging. *)

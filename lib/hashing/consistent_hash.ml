@@ -76,16 +76,4 @@ let owner_among t key ~member =
 
 let owner_of_name t name = owner_of t (Hash_space.of_name name)
 
-let owners t = Array.copy t.owner_ids
-
-let load_counts t ~keys =
-  let counts = Hashtbl.create 64 in
-  Array.iter
-    (fun k ->
-      let o = owner_of t k in
-      Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
-    keys;
-  Array.to_list t.owner_ids
-  |> List.map (fun o -> (o, Option.value ~default:0 (Hashtbl.find_opt counts o)))
-
 let byte_size t = 8 * (3 * Array.length t.phi)

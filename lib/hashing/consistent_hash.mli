@@ -30,12 +30,6 @@ val owner_among : t -> Hash_space.id -> member:(int -> bool) -> int option
 val owner_of_name : t -> string -> int
 (** [owner_of t (Hash_space.of_name name)]. *)
 
-val owners : t -> int array
-
-val load_counts : t -> keys:Hash_space.id array -> (int * int) list
-(** For diagnostics/tests: number of keys from [keys] landing on each
-    owner, as [(owner, count)] pairs. *)
-
 val is_empty : t -> bool
 
 val byte_size : t -> int

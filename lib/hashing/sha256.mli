@@ -9,7 +9,4 @@
 val digest : string -> string
 (** [digest msg] is the 32-byte (raw, not hex) SHA-256 digest of [msg]. *)
 
-val hex : string -> string
-(** [hex msg] is the lowercase hex encoding of [digest msg]. *)
-
 val digest_bytes : bytes -> string

@@ -1,13 +1,15 @@
 (* Repo-wide interprocedural call graph over typedtrees, the substrate for
-   the typed rules L7/L8/L9.
+   the typed rules L7-L10.
 
    Phase A walks every loaded unit's structure and registers definitions
    (top-level values, values in nested modules), module aliases, and
    top-level mutable globals.  Phase B walks each definition body and
    records per-definition facts: direct allocation sites, direct
-   raise/partial-match sites, resolved calls (applied or referenced), and
-   references to top-level mutable globals.  The rules layer computes
-   transitive verdicts over these facts.
+   raise/partial-match sites, resolved calls (applied or referenced, with
+   the optional arguments each application passes), and references to
+   top-level mutable globals.  It also records every module packed as a
+   first-class value.  The rules layer computes transitive verdicts over
+   these facts.
 
    Names: a definition's key is "Unit.Sub.name" with dune's "__" wrapper
    mangling folded to "." (Hot_manifest.key), so "Disco_core__Forwarding
@@ -44,6 +46,9 @@ type call = {
   c_target : target;
   c_applied : bool;
   c_in_try : bool;  (* inside a try body: exceptions do not escape *)
+  c_passed : string list option;
+      (* optional arguments this application passes; [None] for a bare
+         reference or an alias, through which any of them may be passed *)
 }
 
 type def = {
@@ -54,6 +59,7 @@ type def = {
   mutable d_raises : site list;  (* raisers and partial matches *)
   mutable d_calls : call list;
   mutable d_mut_refs : site list;  (* s_what = key of the global *)
+  mutable d_optionals : string list;  (* labels of its optional parameters *)
 }
 
 type global = { g_key : string; g_pos : pos; g_kind : string; g_memo : bool }
@@ -63,6 +69,7 @@ type t = {
   mutable def_order : string list;  (* insertion order, for determinism *)
   globals : (string, global) Hashtbl.t;
   mutable task_entries : string list;  (* def keys seeded on pool domains *)
+  mutable packed : string list;  (* prefixes of modules packed as values *)
 }
 
 (* --- phase A: declarations ------------------------------------------------ *)
@@ -328,6 +335,13 @@ let is_local_clean ~local_clean (p : Path.t) =
   | Path.Pident id -> Hashtbl.mem local_clean (Ident.unique_name id)
   | _ -> false
 
+(* The definition prefix of a module packed by [(module M : S)]. *)
+let rec packed_prefix env (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Option.map Hot_manifest.key (module_prefix env p)
+  | Tmod_constraint (inner, _, _, _) -> packed_prefix env inner
+  | _ -> None
+
 (* --- phase B: per-definition facts ---------------------------------------- *)
 
 type walk_ctx = {
@@ -348,13 +362,14 @@ let add_raise ctx loc what =
     ctx.w_def.d_raises <-
       { s_pos = pos_of_loc loc; s_what = what } :: ctx.w_def.d_raises
 
-let add_call ctx loc target ~applied =
+let add_call ctx loc target ~applied ~passed =
   ctx.w_def.d_calls <-
     {
       c_pos = pos_of_loc loc;
       c_target = target;
       c_applied = applied;
       c_in_try = ctx.w_try_depth > 0;
+      c_passed = passed;
     }
     :: ctx.w_def.d_calls
 
@@ -366,7 +381,7 @@ let record_ident ctx loc p =
   if not (is_local_clean ~local_clean:ctx.w_local_clean p) then
     match resolve ctx.w_env ~local_clean:ctx.w_local_clean p with
     | Repo key ->
-        add_call ctx loc (Repo key) ~applied:false;
+        add_call ctx loc (Repo key) ~applied:false ~passed:None;
         (match Hashtbl.find_opt ctx.w_graph.globals key with
         | Some g when not g.g_memo -> add_mut_ref ctx loc key
         | _ -> ())
@@ -383,6 +398,34 @@ let exempt_construct (cd : Types.constructor_description) args =
   (not (String.equal cd.Types.cstr_name "::")) && List.for_all immediate_arg args
 
 let task_entry_name parent_key line = Printf.sprintf "%s.<task@%d>" parent_key line
+
+(* The optional arguments an application passes.  The typechecker fills an
+   omitted one with a [None] at a ghost location; an explicit [?x:None]
+   keeps its source location and counts as passed. *)
+let passed_optionals args =
+  List.filter_map
+    (fun (label, a) ->
+      match (label, a) with
+      | Asttypes.Optional l, Some e when not e.exp_loc.Location.loc_ghost ->
+          Some l
+      | _ -> None)
+    args
+
+(* Labels of a definition's optional parameters, down its lambda chain
+   (through the [*opt*] unpacking of a defaulted one, as in [bodies_of]). *)
+let rec optional_params e =
+  match e.exp_desc with
+  | Texp_function
+      { arg_label; param; cases = [ { c_guard = None; c_rhs; _ } ]; _ } ->
+      let rest =
+        match c_rhs.exp_desc with
+        | Texp_let (_, _, cont) when String.equal (Ident.name param) "*opt*" ->
+            cont
+        | _ -> c_rhs
+      in
+      (match arg_label with Asttypes.Optional l -> [ l ] | _ -> [])
+      @ optional_params rest
+  | _ -> []
 
 (* Shadowed top-level names share a key: merge their facts (a safe
    over-approximation) instead of dropping the later binding. *)
@@ -401,6 +444,7 @@ let new_def graph ~key ~pos ~hot =
           d_raises = [];
           d_calls = [];
           d_mut_refs = [];
+          d_optionals = [];
         }
       in
       Hashtbl.add graph.defs key d;
@@ -496,8 +540,11 @@ let rec walk_body ctx body =
     | Texp_letop _ ->
         add_alloc ctx e.exp_loc "binding-operator closure allocation";
         Tast_iterator.default_iterator.expr it e
-    | Texp_pack _ ->
+    | Texp_pack me ->
         add_alloc ctx e.exp_loc "first-class-module allocation";
+        Option.iter
+          (fun prefix -> ctx.w_graph.packed <- prefix :: ctx.w_graph.packed)
+          (packed_prefix ctx.w_env me);
         Tast_iterator.default_iterator.expr it e
     | Texp_object _ | Texp_new _ ->
         add_alloc ctx e.exp_loc "object allocation";
@@ -529,7 +576,8 @@ and walk_apply ctx it e fn args =
       | Texp_ident (p, _, _) ->
           if not (is_local_clean ~local_clean:ctx.w_local_clean p) then begin
             let target = resolve ctx.w_env ~local_clean:ctx.w_local_clean p in
-            add_call ctx e.exp_loc target ~applied:true;
+            add_call ctx e.exp_loc target ~applied:true
+              ~passed:(Some (passed_optionals args));
             (match target with
             | Repo key -> (
                 match Hashtbl.find_opt ctx.w_graph.globals key with
@@ -549,7 +597,7 @@ and walk_apply ctx it e fn args =
           end
       | _ ->
           add_call ctx e.exp_loc (Indirect "computed function expression")
-            ~applied:true;
+            ~applied:true ~passed:None;
           it.Tast_iterator.expr it fn);
       if is_arrow e.exp_type then
         add_alloc ctx e.exp_loc "partial application";
@@ -576,6 +624,7 @@ and seed_task ctx a =
                 c_target = Repo ctx.w_def.d_key;
                 c_applied = true;
                 c_in_try = false;
+                c_passed = None;
               };
             ];
           let child_ctx = { ctx with w_def = child; w_try_depth = 0 } in
@@ -595,7 +644,7 @@ and seed_task ctx a =
 
 (* --- build ---------------------------------------------------------------- *)
 
-let build ?(task_apis = Hot_manifest.task_api_keys ()) units =
+let build units =
   let decls = List.map declare units in
   let known = Hashtbl.create 256 in
   List.iter
@@ -608,6 +657,7 @@ let build ?(task_apis = Hot_manifest.task_api_keys ()) units =
       def_order = [];
       globals = Hashtbl.create 32;
       task_entries = [];
+      packed = [];
     }
   in
   (* The pool implementation is the guarded choke point: its own internal
@@ -619,13 +669,16 @@ let build ?(task_apis = Hot_manifest.task_api_keys ()) units =
         List.iter (fun g -> Hashtbl.replace graph.globals g.g_key g) dc.globals)
     decls;
   let task_keys = Hashtbl.create 16 in
-  List.iter (fun k -> Hashtbl.replace task_keys k ()) task_apis;
+  List.iter (fun k -> Hashtbl.replace task_keys k ()) (Hot_manifest.task_api_keys ());
   List.iter
     (fun dc ->
       let env = { e_decl = dc; e_known = known } in
       List.iter
         (fun (key, vb, hot) ->
           let def = new_def graph ~key ~pos:(pos_of_loc vb.vb_loc) ~hot in
+          def.d_optionals <-
+            List.sort_uniq String.compare
+              (optional_params vb.vb_expr @ def.d_optionals);
           let ctx =
             {
               w_def = def;
@@ -644,10 +697,11 @@ let build ?(task_apis = Hot_manifest.task_api_keys ()) units =
             when not (is_local_clean ~local_clean:ctx.w_local_clean p) ->
               add_call ctx b.exp_loc
                 (resolve env ~local_clean:ctx.w_local_clean p)
-                ~applied:true
+                ~applied:true ~passed:None
           | _ -> List.iter (walk_body ctx) bodies))
         dc.bindings)
     decls;
   graph.def_order <- List.rev graph.def_order;
   graph.task_entries <- List.sort_uniq String.compare graph.task_entries;
+  graph.packed <- List.sort_uniq String.compare graph.packed;
   graph

@@ -51,8 +51,6 @@ let extras =
     "Disco_core.Dataplane.fast_walk";
     "Disco_core.Dataplane.decode_into";
     "Disco_graph.Graph.neighbor_at";
-    "Disco_hash.Fnv.hash";
-    "Disco_hash.Fnv.hash_with_seed";
     "Disco_hash.Sha256.digest";
     "Disco_hash.Hash_space.compare_unsigned";
     "Disco_hash.Hash_space.ring_distance";
@@ -103,5 +101,4 @@ let key name =
 
 let hot_names () =
   extras @ List.map snd forward_of_scheme @ List.map snd fast_of_scheme
-let hot_keys () = List.map key (hot_names ())
 let task_api_keys () = List.map key task_apis

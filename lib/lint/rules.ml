@@ -59,7 +59,7 @@ let l2 =
     hint =
       "use the typed comparators: Hash_space.compare_unsigned for ids, \
        Int.compare / Float.compare / String.equal for scalars";
-    applies = in_dirs [ "lib/core/"; "lib/hashing/"; "lib/baselines/"; "lib/dynamic/" ];
+    applies = in_dirs [ "lib/" ];
   }
 
 let l3 =

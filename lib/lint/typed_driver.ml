@@ -31,27 +31,42 @@ let diagnostic_of ~severity_overrides (f : Typed_rules.finding) =
     hint = f.Typed_rules.rule.Rules.hint;
   }
 
-let waived ~source_root (f : Typed_rules.finding) =
-  match waivers_for ~source_root f.Typed_rules.f_pos.Callgraph.p_file with
+let waives ~source_root ~rule (pos : Callgraph.pos) =
+  match waivers_for ~source_root pos.Callgraph.p_file with
   | None -> false
-  | Some w ->
-      Waivers.allows w
-        ~rule:f.Typed_rules.rule.Rules.id
-        ~line:f.Typed_rules.f_pos.Callgraph.p_line
+  | Some w -> Waivers.allows w ~rule ~line:pos.Callgraph.p_line
 
-(* Run the typed pass.  [roots] scope both which units are analyzed and
-   which sources are linted; [check_manifest] should be true when the
-   whole repo is analyzed (H0 is meaningless on a subtree). *)
-let run ?(severity_overrides = []) ?(check_manifest = true) ~build_dir
-    ~source_root ~roots () =
-  match Typed_load.load ~build_dir ~roots with
+let waived ~source_root (f : Typed_rules.finding) =
+  waives ~source_root ~rule:f.Typed_rules.rule.Rules.id f.Typed_rules.f_pos
+
+(* Run the typed pass.  The call graph always spans the whole program
+   under [build_dir] (lib/ and every executable's tree, L10's roots) plus
+   [roots]; [roots] select which sources' findings are reported.  H0 checks
+   the manifest only when lib/ is in the analyzed set (it is meaningless on
+   a fixture tree). *)
+let run ?(severity_overrides = []) ~build_dir ~source_root ~roots () =
+  match
+    Typed_load.load ~build_dir ~roots:(roots @ Typed_rules.program_dirs)
+  with
   | Error e -> Error e
   | Ok units ->
       let cg = Callgraph.build units in
-      let findings = Typed_rules.run ~check_manifest cg in
+      let check_manifest =
+        List.exists (fun u -> Typed_load.under_root "lib" u.Typed_load.u_source) units
+      in
+      let findings =
+        Typed_rules.run ~check_manifest
+          ~kept:(waives ~source_root ~rule:Typed_rules.l10.Rules.id)
+          cg
+      in
+      let reported (f : Typed_rules.finding) =
+        List.exists
+          (fun r -> Typed_load.under_root r f.Typed_rules.f_pos.Callgraph.p_file)
+          roots
+      in
       let diagnostics =
         findings
-        |> List.filter (fun f -> not (waived ~source_root f))
+        |> List.filter (fun f -> reported f && not (waived ~source_root f))
         |> List.map (diagnostic_of ~severity_overrides)
         |> List.sort Diagnostic.compare_by_position
       in

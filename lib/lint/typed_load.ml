@@ -48,8 +48,10 @@ let load_one path =
   | exception _ -> None
 
 (* All implementation units under [build_dir] whose source lives under one
-   of [roots].  Deduplicates by unit name (byte/native subdirs can both hold
-   a cmt) and sorts for deterministic analysis order. *)
+   of [roots].  Deduplicates by source path, since byte/native subdirs can
+   both hold a cmt of one source while two executables' main modules share
+   one unit name (bench/main.ml and perfbench/main.ml are both
+   Dune__exe__Main).  Sorted for a deterministic analysis order. *)
 let load ~build_dir ~roots =
   if not (Sys.file_exists build_dir && Sys.is_directory build_dir) then
     Error
@@ -64,9 +66,9 @@ let load ~build_dir ~roots =
         (fun p ->
           match load_one p with
           | Some u
-            when (not (Hashtbl.mem seen u.u_modname))
+            when (not (Hashtbl.mem seen u.u_source))
                  && List.exists (fun r -> under_root r u.u_source) roots ->
-              Hashtbl.add seen u.u_modname ();
+              Hashtbl.add seen u.u_source ();
               Some u
           | _ -> None)
         cmts
@@ -77,7 +79,12 @@ let load ~build_dir ~roots =
            (String.concat " " roots))
     else
       Ok
-        (List.sort (fun a b -> String.compare a.u_modname b.u_modname) units)
+        (List.sort
+           (fun a b ->
+             match String.compare a.u_modname b.u_modname with
+             | 0 -> String.compare a.u_source b.u_source
+             | c -> c)
+           units)
 
 (* Per-root emptiness, for the CLI's missing-path diagnostics. *)
 let roots_without_units ~units roots =

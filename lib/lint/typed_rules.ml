@@ -1,4 +1,4 @@
-(* The typed rule catalogue (L7/L8/L9 plus the H0 manifest-integrity check)
+(* The typed rule catalogue (L7-L10 plus the H0 manifest-integrity check)
    and the verdict engine that applies it to a Callgraph.t.
 
    Scope and honesty notes (also in DESIGN.md §5b):
@@ -80,7 +80,24 @@ let h0 : Rules.t =
     applies = (fun _ -> true);
   }
 
-let catalogue = [ l7; l8; l9; h0 ]
+let l10 : Rules.t =
+  {
+    Rules.id = "L10";
+    title = "unreached code";
+    default_severity = Diagnostic.Error;
+    rationale =
+      "a library definition no executable reaches, or an optional argument \
+       no reached call passes, is code no figure, check or example runs: it \
+       costs reading and upkeep and is verified by nothing";
+    hint =
+      "delete it with the tests that only test it, replace a never-passed \
+       optional argument by the value every caller gets, or waive it naming \
+       the test that uses it as a reference or fake, or the open ROADMAP \
+       item that needs it: (* disco-lint: allow L10 reason *)";
+    applies = (fun _ -> true);
+  }
+
+let catalogue = [ l7; l8; l9; l10; h0 ]
 let find id = List.find_opt (fun r -> String.equal r.Rules.id id) catalogue
 
 (* --- external allowlists -------------------------------------------------- *)
@@ -455,6 +472,108 @@ let l8_findings (cg : Callgraph.t) =
         d.Callgraph.d_mut_refs)
     reachable
 
+(* L10 walks the call graph from its roots: every definition in an
+   executable's source tree, every top-level effect of the library
+   ([let () = ...], keyed "<init@line>"), every value of a module packed
+   as a first-class value, and every library definition an L10 waiver keeps
+   ([kept]: what a kept definition uses is needed too).  Any reference
+   counts as an edge, applied or not.  It reports the library definitions
+   the walk misses and the optional parameters of reached ones that no
+   reached call passes; a bare reference or alias may pass any of them.
+   test/ is not a root. *)
+type layout = { is_root : string -> bool; is_subject : string -> bool }
+
+let under dirs file = List.exists (fun d -> Typed_load.under_root d file) dirs
+
+let executable_dirs = [ "bin"; "bench"; "examples"; "perfbench" ]
+
+let repo_layout =
+  { is_root = under executable_dirs; is_subject = under [ "lib" ] }
+
+(* Every source tree L10 needs loaded, whatever the command-line roots. *)
+let program_dirs = "lib" :: executable_dirs
+
+let is_synthetic key = String.contains key '<'
+
+let is_effect key =
+  Option.is_some (Waivers.find_sub key "<init@")
+
+let l10_findings ~layout ~kept (cg : Callgraph.t) =
+  let def key = Hashtbl.find cg.Callgraph.defs key in
+  let file key = (def key).Callgraph.d_pos.Callgraph.p_file in
+  let in_packed key =
+    List.exists
+      (fun m -> Rules.has_prefix ~prefix:(m ^ ".") key)
+      cg.Callgraph.packed
+  in
+  let reached = Hashtbl.create 512 in
+  let any_optional = Hashtbl.create 64 in
+  let passed = Hashtbl.create 64 in
+  let q = Queue.create () in
+  let reach key =
+    if not (Hashtbl.mem reached key) then begin
+      Hashtbl.replace reached key ();
+      Queue.add key q
+    end
+  in
+  List.iter
+    (fun key ->
+      if in_packed key then Hashtbl.replace any_optional key ();
+      if
+        layout.is_root (file key)
+        || (layout.is_subject (file key)
+           && (is_effect key || kept (def key).Callgraph.d_pos))
+        || in_packed key
+      then reach key)
+    cg.Callgraph.def_order;
+  while not (Queue.is_empty q) do
+    List.iter
+      (fun (c : Callgraph.call) ->
+        match c.Callgraph.c_target with
+        | Callgraph.Repo g when Hashtbl.mem cg.Callgraph.defs g -> (
+            reach g;
+            match c.Callgraph.c_passed with
+            | None -> Hashtbl.replace any_optional g ()
+            | Some labels ->
+                List.iter (fun l -> Hashtbl.replace passed (g, l) ()) labels)
+        | _ -> ())
+      (def (Queue.pop q)).Callgraph.d_calls
+  done;
+  List.concat_map
+    (fun key ->
+      let d = def key in
+      if is_synthetic key || not (layout.is_subject (file key)) then []
+      else if not (Hashtbl.mem reached key) then
+        [
+          {
+            rule = l10;
+            f_pos = d.Callgraph.d_pos;
+            message =
+              Printf.sprintf
+                "%s is not reached from any executable, top-level effect or \
+                 packed module"
+                key;
+          };
+        ]
+      else if Hashtbl.mem any_optional key then []
+      else
+        List.filter_map
+          (fun l ->
+            if Hashtbl.mem passed (key, l) then None
+            else
+              Some
+                {
+                  rule = l10;
+                  f_pos = d.Callgraph.d_pos;
+                  message =
+                    Printf.sprintf
+                      "optional argument ?%s of %s is never passed by reached \
+                       code"
+                      l key;
+                })
+          d.Callgraph.d_optionals)
+    cg.Callgraph.def_order
+
 let h0_findings missing =
   List.map
     (fun name ->
@@ -488,7 +607,7 @@ let dedupe findings =
       end)
     findings
 
-let run ?(check_manifest = true) (cg : Callgraph.t) =
+let run ~check_manifest ~kept (cg : Callgraph.t) =
   let hot, missing = hot_set cg in
   let alloc_verdicts = propagate cg ~direct:direct_alloc_reason ~edge_ok:(fun _ -> true) in
   let raise_verdicts =
@@ -499,4 +618,5 @@ let run ?(check_manifest = true) (cg : Callgraph.t) =
     (l7_findings cg hot alloc_verdicts
     @ l9_findings cg hot raise_verdicts
     @ l8_findings cg
+    @ l10_findings ~layout:repo_layout ~kept cg
     @ if check_manifest then h0_findings missing else [])

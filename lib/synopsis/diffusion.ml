@@ -28,6 +28,7 @@ let diameter_estimate graph =
   done;
   2 * !far
 
+(* disco-lint: allow L10 ?rounds is how test_synopsis's "few rounds incomplete" stops the gossip before it converges *)
 let estimate_n ~graph ~node_name ?(buckets = 64) ?rounds () =
   let n = Graph.n graph in
   let rounds =

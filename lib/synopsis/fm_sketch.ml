@@ -40,6 +40,7 @@ let merge_into dst src =
     (fun i b -> dst.bitmaps.(i) <- Int64.logor dst.bitmaps.(i) b)
     src.bitmaps
 
+(* disco-lint: allow L10 test_synopsis's merge tests compare sketches through it *)
 let equal a b = a.bitmaps = b.bitmaps
 
 let lowest_zero bitmap =

@@ -24,7 +24,7 @@ let summarize a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.summarize: empty";
   let sorted = Array.copy a in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let m = mean a in
   let var =
     Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a
@@ -46,7 +46,7 @@ let cdf_points samples k =
   if n = 0 then []
   else begin
     let sorted = Array.copy samples in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let k = max 1 (min k n) in
     let pick = List.init k (fun i -> (i + 1) * n / k) in
     List.map

@@ -32,19 +32,6 @@ let create () =
     header_bytes = 0;
   }
 
-let reset t =
-  t.route_calls <- 0;
-  t.route_failures <- 0;
-  t.resolution_fallbacks <- 0;
-  t.messages_sent <- 0;
-  t.sssp_runs <- 0;
-  t.packets_walked <- 0;
-  t.packets_delivered <- 0;
-  t.packets_dropped <- 0;
-  t.hops_forwarded <- 0;
-  t.header_rewrites <- 0;
-  t.header_bytes <- 0
-
 let route_call t = t.route_calls <- t.route_calls + 1
 let route_failure t = t.route_failures <- t.route_failures + 1
 let resolution_fallback t = t.resolution_fallbacks <- t.resolution_fallbacks + 1
@@ -106,28 +93,12 @@ let snapshot (t : t) =
     header_bytes = t.header_bytes;
   }
 
-let render ~route_calls ~route_failures ~resolution_fallbacks ~messages_sent
-    ~sssp_runs ~packets_walked ~packets_delivered ~packets_dropped
-    ~hops_forwarded ~header_rewrites ~header_bytes =
+let snapshot_to_string (s : snapshot) =
   Printf.sprintf
     "route_calls=%d failures=%d fallbacks=%d messages=%d sssp_runs=%d \
      walks=%d delivered=%d dropped=%d hops=%d rewrites=%d header_bytes=%d"
-    route_calls route_failures resolution_fallbacks messages_sent sssp_runs
-    packets_walked packets_delivered packets_dropped hops_forwarded
-    header_rewrites header_bytes
+    s.route_calls s.route_failures s.resolution_fallbacks s.messages_sent
+    s.sssp_runs s.packets_walked s.packets_delivered s.packets_dropped
+    s.hops_forwarded s.header_rewrites s.header_bytes
 
-let to_string (t : t) =
-  render ~route_calls:t.route_calls ~route_failures:t.route_failures
-    ~resolution_fallbacks:t.resolution_fallbacks ~messages_sent:t.messages_sent
-    ~sssp_runs:t.sssp_runs ~packets_walked:t.packets_walked
-    ~packets_delivered:t.packets_delivered ~packets_dropped:t.packets_dropped
-    ~hops_forwarded:t.hops_forwarded ~header_rewrites:t.header_rewrites
-    ~header_bytes:t.header_bytes
-
-let snapshot_to_string (s : snapshot) =
-  render ~route_calls:s.route_calls ~route_failures:s.route_failures
-    ~resolution_fallbacks:s.resolution_fallbacks ~messages_sent:s.messages_sent
-    ~sssp_runs:s.sssp_runs ~packets_walked:s.packets_walked
-    ~packets_delivered:s.packets_delivered ~packets_dropped:s.packets_dropped
-    ~hops_forwarded:s.hops_forwarded ~header_rewrites:s.header_rewrites
-    ~header_bytes:s.header_bytes
+let to_string t = snapshot_to_string (snapshot t)

@@ -27,7 +27,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val route_call : t -> unit
 val route_failure : t -> unit
 val resolution_fallback : t -> unit

@@ -71,10 +71,18 @@ let test_path_length () =
   Alcotest.check_raises "non-path" (Invalid_argument "Dijkstra.path_length: not a path")
     (fun () -> ignore (Dijkstra.path_length g [ 0; 3 ]))
 
+(* Node id -> (distance, predecessor) over a truncated run's settled set. *)
+let truncated_lookup (t : Dijkstra.truncated) =
+  let tbl = Hashtbl.create (2 * Array.length t.Dijkstra.order) in
+  Array.iteri
+    (fun i v -> Hashtbl.replace tbl v (t.Dijkstra.tdist.(i), t.Dijkstra.tparent.(i)))
+    t.Dijkstra.order;
+  fun v -> Hashtbl.find_opt tbl v
+
 let test_truncated_lookup () =
   let g = diamond () in
   let t = Dijkstra.k_closest g 0 3 in
-  let lookup = Dijkstra.truncated_lookup t in
+  let lookup = truncated_lookup t in
   Alcotest.(check bool) "settled found" true (lookup 1 = Some (1.0, 0));
   Alcotest.(check bool) "unsettled absent" true (lookup 2 = None)
 
@@ -155,7 +163,7 @@ let prop_within_radius_agrees_with_sssp =
       List.for_all
         (fun radius ->
           let t = Dijkstra.within_radius g src radius in
-          let lookup = Dijkstra.truncated_lookup t in
+          let lookup = truncated_lookup t in
           let ok = ref true in
           for v = 0 to Graph.n g - 1 do
             let inside = r.Dijkstra.dist.(v) < radius in
@@ -176,7 +184,7 @@ let prop_k_closest_weighted_parents =
       let k = 1 + (seed mod Graph.n g) in
       let t = Dijkstra.k_closest g src k in
       let r = Dijkstra.sssp g src in
-      let lookup = Dijkstra.truncated_lookup t in
+      let lookup = truncated_lookup t in
       let ok = ref true in
       Array.iteri
         (fun i v ->

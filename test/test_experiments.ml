@@ -104,9 +104,10 @@ let test_figures_registry () =
   Alcotest.(check bool) "fig2 known" true (List.mem "fig2" Figures.all_ids);
   Alcotest.(check bool) "state known" true (List.mem "state" Figures.all_ids);
   Alcotest.(check int) "23 experiments" 23 (List.length Figures.all_ids);
-  Alcotest.(check bool) "scale parse" true (Figures.scale_of_string "small" = Some Figures.Small);
-  Alcotest.(check bool) "scale parse paper" true (Figures.scale_of_string "paper" = Some Figures.Paper);
-  Alcotest.(check bool) "scale parse bad" true (Figures.scale_of_string "huge" = None)
+  let parse = Disco_experiments.Scale.of_string in
+  Alcotest.(check bool) "scale parse" true (parse "small" = Some Figures.Small);
+  Alcotest.(check bool) "scale parse paper" true (parse "paper" = Some Figures.Paper);
+  Alcotest.(check bool) "scale parse bad" true (parse "huge" = None)
 
 let suite =
   [

@@ -1,16 +1,5 @@
-module Fnv = Disco_hash.Fnv
 module Hash_space = Disco_hash.Hash_space
 module Consistent_hash = Disco_hash.Consistent_hash
-
-let test_fnv_vectors () =
-  (* Published FNV-1a 64-bit vectors. *)
-  Alcotest.(check int64) "empty" 0xcbf29ce484222325L (Fnv.hash "");
-  Alcotest.(check int64) "a" 0xaf63dc4c8601ec8cL (Fnv.hash "a");
-  Alcotest.(check int64) "foobar" 0x85944171f73967e8L (Fnv.hash "foobar")
-
-let test_fnv_seeded () =
-  Alcotest.(check bool) "seeds differ" true
-    (Fnv.hash_with_seed 1 "x" <> Fnv.hash_with_seed 2 "x")
 
 let test_prefix_bits () =
   let h = 0xF000000000000000L in
@@ -101,6 +90,16 @@ let make_ring ?(replicas = 1) k =
   let owners = Array.init k Fun.id in
   Consistent_hash.create ~replicas ~owners ~owner_name:(fun o -> Printf.sprintf "lm%d" o) ()
 
+(* Keys from [keys] landing on each of the [k] owners of [make_ring k]. *)
+let load_counts ring k ~keys =
+  let counts = Array.make k 0 in
+  Array.iter
+    (fun key ->
+      let o = Consistent_hash.owner_of ring key in
+      counts.(o) <- counts.(o) + 1)
+    keys;
+  List.init k (fun o -> (o, counts.(o)))
+
 let test_ch_owner_is_member () =
   let ring = make_ring 7 in
   for i = 0 to 200 do
@@ -119,7 +118,7 @@ let test_ch_deterministic () =
 let test_ch_all_owners_used () =
   let ring = make_ring 4 in
   let keys = Array.init 2000 (fun i -> Hash_space.of_name (Printf.sprintf "k%d" i)) in
-  let loads = Consistent_hash.load_counts ring ~keys in
+  let loads = load_counts ring 4 ~keys in
   List.iter
     (fun (o, c) ->
       Alcotest.(check bool) (Printf.sprintf "owner %d used" o) true (c > 0))
@@ -131,7 +130,7 @@ let test_ch_replicas_balance () =
   let keys = Array.init 4000 (fun i -> Hash_space.of_name (Printf.sprintf "k%d" i)) in
   let imbalance replicas =
     let ring = make_ring ~replicas 8 in
-    let loads = Consistent_hash.load_counts ring ~keys in
+    let loads = load_counts ring 8 ~keys in
     let max_load = List.fold_left (fun acc (_, c) -> max acc c) 0 loads in
     float_of_int max_load /. (4000.0 /. 8.0)
   in
@@ -211,8 +210,6 @@ let prop_owner_among_is_subset_ring =
 
 let suite =
   [
-    Alcotest.test_case "fnv vectors" `Quick test_fnv_vectors;
-    Alcotest.test_case "fnv seeded" `Quick test_fnv_seeded;
     Alcotest.test_case "prefix bits" `Quick test_prefix_bits;
     Alcotest.test_case "common prefix length" `Quick test_common_prefix_len;
     Alcotest.test_case "ring distance" `Quick test_ring_distance;

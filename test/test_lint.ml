@@ -70,7 +70,7 @@ let scoping () =
     "no L1 in telemetry" false
     (List.mem "L1"
        (rules_of (Driver.lint_source ~path:"lib/util/telemetry.ml" clock)));
-  (* L2 only guards the hash-space-bearing libraries. *)
+  (* L2 guards all of lib/, and only lib/. *)
   let poly = "let f (a : int array) = Array.sort compare a" in
   Alcotest.(check bool)
     "L2 in hashing" true
@@ -79,9 +79,12 @@ let scoping () =
     "L2 in dynamic" true
     (List.mem "L2" (rules_of (Driver.lint_source ~path:"lib/dynamic/x.ml" poly)));
   Alcotest.(check bool)
-    "no L2 in experiments" false
+    "L2 in experiments" true
     (List.mem "L2"
        (rules_of (Driver.lint_source ~path:"lib/experiments/x.ml" poly)));
+  Alcotest.(check bool)
+    "no L2 in bench" false
+    (List.mem "L2" (rules_of (Driver.lint_source ~path:"bench/x.ml" poly)));
   (* L6 exempts exactly the pool module. *)
   let spawn = "let d = Domain.spawn (fun () -> ())" in
   Alcotest.(check bool)

@@ -14,7 +14,8 @@ let test_addresses_decode () =
   let g, nd = build 3 in
   for v = 0 to Graph.n g - 1 do
     let addr = Nddisco.address nd v in
-    Alcotest.(check int) "address ends at v" v (Disco_core.Address.destination addr);
+    Alcotest.(check int) "address ends at v" v
+      addr.Disco_core.Address.route.(Disco_core.Address.hops addr);
     let decoded =
       Disco_core.Address.decode g ~landmark:addr.Disco_core.Address.landmark
         ~labels:addr.Disco_core.Address.labels

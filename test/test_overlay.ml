@@ -52,16 +52,11 @@ let test_more_fingers_fewer_hops () =
     (d3.Overlay.messages > d1.Overlay.messages)
 
 let test_announcement_reaches_group () =
-  let _, groups, ov = build 13 in
-  let src = 0 in
-  Array.iter
-    (fun w ->
-      if w <> src then
-        Alcotest.(check bool)
-          (Printf.sprintf "announcement %d -> %d" src w)
-          true
-          (Overlay.announcement_reaches ov ~src ~dst:w))
-    (Groups.storers groups src)
+  (* Every node's announcement reaches every other member of its group. *)
+  let _, _, ov = build 13 in
+  let d = Overlay.disseminate ov in
+  Alcotest.(check int) "every group member reached" d.Overlay.expected
+    d.Overlay.reached
 
 let test_mean_degree_small () =
   let _, _, ov = build ~fingers:1 17 in

@@ -28,11 +28,11 @@ let test_registry_contents () =
   Alcotest.(check (list string)) "all built-in schemes registered" expected_names names;
   List.iter
     (fun name ->
-      match Routers.find name with
+      match Protocol.find name with
       | Some p -> Alcotest.(check string) "find returns the right module" name (Protocol.name_of p)
-      | None -> Alcotest.failf "Routers.find %S returned None" name)
+      | None -> Alcotest.failf "Protocol.find %S returned None" name)
     names;
-  Alcotest.(check bool) "find on a junk name misses" true (Routers.find "nonesuch" = None);
+  Alcotest.(check bool) "find on a junk name misses" true (Protocol.find "nonesuch" = None);
   Alcotest.(check (list string)) "schemes with an oracle" expected_oracles
     (List.filter_map
        (fun p ->

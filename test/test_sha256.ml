@@ -1,5 +1,12 @@
 module Sha256 = Disco_hash.Sha256
 
+(* Lowercase hex of [Sha256.digest msg], the form the vectors are in. *)
+let hex msg =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq (Sha256.digest msg))))
+
 (* FIPS 180-4 / NIST CAVP test vectors. *)
 let vectors =
   [
@@ -18,14 +25,14 @@ let test_vectors () =
     (fun (msg, expected) ->
       Alcotest.(check string)
         (Printf.sprintf "sha256(%S)" (String.sub msg 0 (min 16 (String.length msg))))
-        expected (Sha256.hex msg))
+        expected (hex msg))
     vectors
 
 let test_million_a () =
   let msg = String.make 1_000_000 'a' in
   Alcotest.(check string) "million a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex msg)
+    (hex msg)
 
 let test_digest_length () =
   Alcotest.(check int) "32 bytes" 32 (String.length (Sha256.digest "anything"))
@@ -40,8 +47,8 @@ let test_block_boundaries () =
   let distinct = List.sort_uniq compare digests in
   Alcotest.(check int) "all distinct" (List.length digests) (List.length distinct);
   Alcotest.(check string) "deterministic"
-    (Sha256.hex (String.make 56 'x'))
-    (Sha256.hex (String.make 56 'x'))
+    (hex (String.make 56 'x'))
+    (hex (String.make 56 'x'))
 
 let test_digest_bytes_matches_string () =
   let s = "flat names" in

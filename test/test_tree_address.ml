@@ -62,67 +62,6 @@ let test_ring_topology () =
     Alcotest.(check int) "route reaches v" v (List.nth r (List.length r - 1))
   done
 
-(* --- encode_label / decode_label round-trips --- *)
-
-let roundtrip_all g lms ta =
-  for v = 0 to Graph.n g - 1 do
-    let landmark = lms.Landmarks.nearest.(v) in
-    let bytes = Tree_address.encode_label ta v in
-    Alcotest.(check int) "wire form fits the fixed width"
-      ((Tree_address.bits ta + 7) / 8)
-      (Bytes.length bytes);
-    Alcotest.(check int)
-      (Printf.sprintf "decode inverts encode at node %d" v)
-      v
-      (Tree_address.decode_label ta ~landmark bytes)
-  done
-
-let test_label_codec_roundtrip () =
-  let g, lms, ta = build 13 in
-  roundtrip_all g lms ta
-
-let test_label_codec_wide_labels () =
-  (* n = 300 forces bits = 9: every label crosses the byte boundary, the
-     case a byte-granular codec gets wrong. *)
-  let n = 300 in
-  let g = Gen.gnm ~rng:(Rng.create 99) ~n ~m:(3 * n) in
-  let lms = Landmarks.build ~rng:(Rng.create 100) ~params:Disco_core.Params.default g in
-  let ta = Tree_address.build g lms in
-  Alcotest.(check int) "9-bit labels" 9 (Tree_address.bits ta);
-  roundtrip_all g lms ta
-
-let test_label_codec_single_tree_ring () =
-  (* One landmark owning the whole ring: labels span the full [0, n)
-     block, including label 0 (all-zero bits) and the maximum label. *)
-  let n = 64 in
-  let g = Gen.ring ~n in
-  let lms = Landmarks.of_ids g [| 0 |] in
-  let ta = Tree_address.build g lms in
-  roundtrip_all g lms ta
-
-let test_label_codec_rejects_foreign_label () =
-  let g, lms, ta = build 15 in
-  (* Find a node and a landmark that does not own it; its label decoded
-     against that landmark must be rejected rather than misrouted. *)
-  let ids = lms.Landmarks.ids in
-  if Array.length ids >= 2 then begin
-    let found = ref None in
-    for v = 0 to Graph.n g - 1 do
-      if !found = None then begin
-        let mine = lms.Landmarks.nearest.(v) in
-        let foreign = if ids.(0) = mine then ids.(1) else ids.(0) in
-        (* Only a genuine mismatch triggers the range check: the same
-           label value may legitimately exist in the foreign tree. *)
-        let bytes = Tree_address.encode_label ta v in
-        match Tree_address.decode_label ta ~landmark:foreign bytes with
-        | w -> if w <> v then found := Some ()
-        | exception Invalid_argument _ -> found := Some ()
-      end
-    done;
-    Alcotest.(check bool) "foreign decode never silently yields the node" true
-      (!found <> None || Graph.n g = Array.length ids)
-  end
-
 let suite =
   [
     Alcotest.test_case "labels unique per tree" `Quick test_labels_unique_per_tree;
@@ -131,9 +70,4 @@ let suite =
     Alcotest.test_case "byte size" `Quick test_byte_size;
     Alcotest.test_case "landmark root label" `Quick test_landmark_root_label;
     Alcotest.test_case "ring topology" `Quick test_ring_topology;
-    Alcotest.test_case "label codec roundtrip" `Quick test_label_codec_roundtrip;
-    Alcotest.test_case "label codec wide labels" `Quick test_label_codec_wide_labels;
-    Alcotest.test_case "label codec full-block ring" `Quick test_label_codec_single_tree_ring;
-    Alcotest.test_case "label codec rejects foreign label" `Quick
-      test_label_codec_rejects_foreign_label;
   ]
