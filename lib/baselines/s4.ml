@@ -1,47 +1,34 @@
 module Graph = Disco_graph.Graph
 module Dijkstra = Disco_graph.Dijkstra
 module Core = Disco_core
+module Landmarks = Core.Landmarks
+module Landmark_trees = Core.Landmark_trees
 
 type ball = { bm : int array; bd : float array; bp : int array }
 
+(* S4 runs on NDDisco's converged landmark set, landmark trees and names,
+   and on Disco's resolution ring: one landmark draw, one tree per root and
+   one ring per topology. Only the cluster balls are S4's own state. *)
 type t = {
-  graph : Graph.t;
-  names : Core.Name.t array;
-  landmarks : Core.Landmarks.t;
-  trees : Core.Landmark_trees.t;
-  ring : Disco_hash.Consistent_hash.t;
+  nd : Core.Nddisco.t;
+  resolution : Core.Resolution.t;
   ball_cache : (int, ball, Dijkstra.workspace) Disco_util.Pool.Memo.t;
 }
 
-let build ?(params = Core.Params.default) ?landmark_ids ~rng graph =
-  let names = Core.Name.default_array (Graph.n graph) in
-  let landmarks =
-    match landmark_ids with
-    | Some ids -> Core.Landmarks.of_ids graph ids
-    | None -> Core.Landmarks.build ~rng ~params graph
-  in
-  let ring =
-    Disco_hash.Consistent_hash.create
-      ~replicas:params.Core.Params.resolution_replicas
-      ~owners:landmarks.Core.Landmarks.ids
-      ~owner_name:(fun lm -> names.(lm))
-      ()
-  in
+let of_nddisco (nd : Core.Nddisco.t) resolution =
   {
-    graph;
-    names;
-    landmarks;
-    trees = Core.Landmark_trees.create graph;
-    ring;
+    nd;
+    resolution;
     ball_cache =
       Disco_util.Pool.Memo.create ~size:256
-        ~scratch:(fun () -> Dijkstra.make_workspace graph)
+        ~scratch:(fun () -> Dijkstra.make_workspace nd.graph)
         ();
   }
 
-(* disco-lint: allow L10 test_s4's "state entries" takes the landmark count as the floor of every node's state *)
-let landmarks t = t.landmarks
-let radius t v = t.landmarks.Core.Landmarks.dist.(v)
+let radius t v = t.nd.landmarks.Landmarks.dist.(v)
+
+(* The landmark that stores [dst]'s address in the resolution database. *)
+let owner t dst = Core.Resolution.owner t.resolution t.nd.names.(dst)
 
 (* Sorted-member binary search; -1 when [x] is outside the ball. *)
 let rec ball_idx (members : int array) x lo hi =
@@ -65,7 +52,7 @@ let ball t target =
      serializes the table and lends each fill a workspace (results are
      copied out, so the cached ball is workspace-independent). *)
   Disco_util.Pool.Memo.find_or_add t.ball_cache target (fun ws ->
-      let run = Dijkstra.within_radius ~ws t.graph target (radius t target) in
+      let run = Dijkstra.within_radius ~ws t.nd.graph target (radius t target) in
       let k = Array.length run.Dijkstra.order in
       let idx = Array.init k (fun i -> i) in
       Array.sort
@@ -98,56 +85,56 @@ let cluster_path t ~node ~target =
 
 let knows t u x =
   if u = x then Some [ u ]
-  else if t.landmarks.Core.Landmarks.is_landmark.(x) then
-    Some (Core.Landmark_trees.path_to t.trees u ~lm:x)
+  else if t.nd.landmarks.Landmarks.is_landmark.(x) then
+    Some (Landmark_trees.path_to t.nd.trees u ~lm:x)
   else cluster_path t ~node:u ~target:x
 
 let raw_via_landmark t ~src ~dst =
-  let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
-  if lm = src then Core.Landmark_trees.path_from t.trees ~lm dst
+  let lm = t.nd.landmarks.Landmarks.nearest.(dst) in
+  if lm = src then Landmark_trees.path_from t.nd.trees ~lm dst
   else begin
-    let to_landmark = Core.Landmark_trees.path_to t.trees src ~lm in
-    let onward = Core.Landmark_trees.path_from t.trees ~lm dst in
+    let to_landmark = Landmark_trees.path_to t.nd.trees src ~lm in
+    let onward = Landmark_trees.path_from t.nd.trees ~lm dst in
     to_landmark @ List.tl onward
   end
 
 let route_later t ~src ~dst =
   if src = dst then [ src ]
-  else if t.landmarks.Core.Landmarks.is_landmark.(dst) then
-    Core.Landmark_trees.path_to t.trees src ~lm:dst
+  else if t.nd.landmarks.Landmarks.is_landmark.(dst) then
+    Landmark_trees.path_to t.nd.trees src ~lm:dst
   else begin
     match cluster_path t ~node:src ~target:dst with
     | Some p -> p
     | None ->
         let raw = raw_via_landmark t ~src ~dst in
-        Core.Shortcut.to_destination ~graph:t.graph ~knows:(knows t) ~dst raw
+        Core.Shortcut.to_destination ~graph:t.nd.graph ~knows:(knows t) ~dst raw
   end
 
 let route_first t ~src ~dst =
   if src = dst then [ src ]
   else begin
     let direct_known =
-      t.landmarks.Core.Landmarks.is_landmark.(dst)
+      t.nd.landmarks.Landmarks.is_landmark.(dst)
       || in_cluster t ~node:src ~target:dst
     in
     if direct_known then route_later t ~src ~dst
     else begin
       (* Resolution detour: the owner landmark of h(name_dst) holds the
          destination's landmark; continue from there. *)
-      let owner = Disco_hash.Consistent_hash.owner_of_name t.ring t.names.(dst) in
+      let owner = owner t dst in
       let raw =
         if owner = src then raw_via_landmark t ~src ~dst
         else begin
-          let to_owner = Core.Landmark_trees.path_to t.trees src ~lm:owner in
+          let to_owner = Landmark_trees.path_to t.nd.trees src ~lm:owner in
           let onward =
-            if t.landmarks.Core.Landmarks.nearest.(dst) = owner then
-              Core.Landmark_trees.path_from t.trees ~lm:owner dst
+            if t.nd.landmarks.Landmarks.nearest.(dst) = owner then
+              Landmark_trees.path_from t.nd.trees ~lm:owner dst
             else raw_via_landmark t ~src:owner ~dst
           in
           to_owner @ List.tl onward
         end
       in
-      Core.Shortcut.to_destination ~graph:t.graph ~knows:(knows t) ~dst raw
+      Core.Shortcut.to_destination ~graph:t.nd.graph ~knows:(knows t) ~dst raw
     end
   end
 
@@ -169,12 +156,12 @@ let ttl_factor = 4
    resolution owner the packet is steered onward to that landmark. *)
 let steer_arrival t (h : D.header) ~at:u =
   let dst = h.D.dst in
-  let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
+  let lm = t.nd.landmarks.Landmarks.nearest.(dst) in
   if u = lm then
-    D.carry_along h (Core.Landmark_trees.path_from t.trees ~lm dst)
+    D.carry_along h (Landmark_trees.path_from t.nd.trees ~lm dst)
       D.Address_rewrite
   else
-    match Core.Landmark_trees.path_to t.trees u ~lm with
+    match Landmark_trees.path_to t.nd.trees u ~lm with
     | _ :: (next :: rest) ->
         D.Rewrite
           ({ h with D.labels = rest; waypoint = lm }, next, D.Address_rewrite)
@@ -223,34 +210,34 @@ let steer_header ~dst ~waypoint path =
 
 let later_header t ~src ~dst =
   if src = dst then D.plain ~dst D.Carry
-  else if t.landmarks.Core.Landmarks.is_landmark.(dst) then
-    D.carry_header ~dst (Core.Landmark_trees.path_to t.trees src ~lm:dst)
+  else if t.nd.landmarks.Landmarks.is_landmark.(dst) then
+    D.carry_header ~dst (Landmark_trees.path_to t.nd.trees src ~lm:dst)
   else begin
     match cluster_path t ~node:src ~target:dst with
     | Some p -> D.carry_header ~dst p
     | None ->
-        let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
+        let lm = t.nd.landmarks.Landmarks.nearest.(dst) in
         if lm = src then
-          D.carry_header ~dst (Core.Landmark_trees.path_from t.trees ~lm dst)
+          D.carry_header ~dst (Landmark_trees.path_from t.nd.trees ~lm dst)
         else
           steer_header ~dst ~waypoint:lm
-            (Core.Landmark_trees.path_to t.trees src ~lm)
+            (Landmark_trees.path_to t.nd.trees src ~lm)
   end
 
 let first_header t ~src ~dst =
   if src = dst then D.plain ~dst D.Carry
   else begin
     let direct_known =
-      t.landmarks.Core.Landmarks.is_landmark.(dst)
+      t.nd.landmarks.Landmarks.is_landmark.(dst)
       || in_cluster t ~node:src ~target:dst
     in
     if direct_known then later_header t ~src ~dst
     else begin
-      let owner = Disco_hash.Consistent_hash.owner_of_name t.ring t.names.(dst) in
+      let owner = owner t dst in
       if owner = src then later_header t ~src ~dst
       else
         steer_header ~dst ~waypoint:owner
-          (Core.Landmark_trees.path_to t.trees src ~lm:owner)
+          (Landmark_trees.path_to t.nd.trees src ~lm:owner)
     end
   end
 
@@ -268,7 +255,6 @@ let empty_ball = { bm = [||]; bd = [||]; bp = [||] }
 
 type fast = {
   fs4 : t;
-  fg : Graph.t;
   fis_lm : bool array;
   fnearest : int array;
   flm : int array array; (* per landmark root: tree parents; [||] unprimed *)
@@ -276,20 +262,19 @@ type fast = {
 }
 
 let compile t =
-  let n = Graph.n t.graph in
+  let n = Graph.n t.nd.graph in
   {
     fs4 = t;
-    fg = t.graph;
-    fis_lm = t.landmarks.Core.Landmarks.is_landmark;
-    fnearest = t.landmarks.Core.Landmarks.nearest;
-    flm = Core.Landmark_trees.rows t.trees;
+    fis_lm = t.nd.landmarks.Landmarks.is_landmark;
+    fnearest = t.nd.landmarks.Landmarks.nearest;
+    flm = Landmark_trees.rows t.nd.trees;
     fball = Array.make n empty_ball;
   }
 
 let fast_prime f ~src:_ ~dst =
-  if f.fis_lm.(dst) then Core.Landmark_trees.prime f.fs4.trees f.flm dst
+  if f.fis_lm.(dst) then Landmark_trees.prime f.fs4.nd.trees f.flm dst
   else begin
-    Core.Landmark_trees.prime f.fs4.trees f.flm f.fnearest.(dst);
+    Landmark_trees.prime f.fs4.nd.trees f.flm f.fnearest.(dst);
     if Array.length f.fball.(dst).bm = 0 then
       (* every ball contains its target, so a primed slot is never empty *)
       f.fball.(dst) <- ball f.fs4 dst
@@ -375,11 +360,11 @@ let fast_step f (pkt : D.packet) u =
   end
 
 let cluster_sizes t =
-  let n = Graph.n t.graph in
+  let n = Graph.n t.nd.graph in
   let counts = Array.make n 0 in
-  let ws = Dijkstra.make_workspace t.graph in
+  let ws = Dijkstra.make_workspace t.nd.graph in
   for target = 0 to n - 1 do
-    let run = Dijkstra.within_radius ~ws t.graph target (radius t target) in
+    let run = Dijkstra.within_radius ~ws t.nd.graph target (radius t target) in
     Array.iter
       (fun u -> if u <> target then counts.(u) <- counts.(u) + 1)
       run.Dijkstra.order
@@ -387,25 +372,22 @@ let cluster_sizes t =
   counts
 
 let resolution_loads t =
-  let n = Graph.n t.graph in
-  let loads = Array.make n 0 in
+  let loads = Array.make (Graph.n t.nd.graph) 0 in
   Array.iter
-    (fun name ->
-      let owner = Disco_hash.Consistent_hash.owner_of_name t.ring name in
-      loads.(owner) <- loads.(owner) + 1)
-    t.names;
+    (fun o -> loads.(o) <- loads.(o) + 1)
+    (Core.Resolution.owners_by_node t.resolution);
   loads
 
 let state_entries t ~cluster_sizes ~resolution_loads v =
-  let landmark_entries = Core.Landmarks.count t.landmarks in
+  let landmark_entries = Landmarks.count t.nd.landmarks in
   let cluster = cluster_sizes.(v) in
-  let labels = min (Graph.degree t.graph v) (cluster + landmark_entries) in
+  let labels = min (Graph.degree t.nd.graph v) (cluster + landmark_entries) in
   cluster + landmark_entries + labels + resolution_loads.(v)
 
 let state_bytes t ~cluster_sizes ~resolution_loads v =
-  let landmark_entries = Core.Landmarks.count t.landmarks in
+  let landmark_entries = Landmarks.count t.nd.landmarks in
   let cluster = cluster_sizes.(v) in
-  let labels = min (Graph.degree t.graph v) (cluster + landmark_entries) in
+  let labels = min (Graph.degree t.nd.graph v) (cluster + landmark_entries) in
   (* Cluster and landmark routes are packed-ball rows: (member, distance,
      next hop) at 24 bytes; forwarding labels one word; resolution-share
      entries a (name hash, location) pair. *)

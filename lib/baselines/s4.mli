@@ -15,14 +15,10 @@
 
 type t
 
-val build :
-  ?params:Disco_core.Params.t ->
-  ?landmark_ids:int array ->
-  rng:Disco_util.Rng.t ->
-  Disco_graph.Graph.t ->
-  t
-
-val landmarks : t -> Disco_core.Landmarks.t
+val of_nddisco : Disco_core.Nddisco.t -> Disco_core.Resolution.t -> t
+(** S4 over NDDisco's converged state: its landmark set, landmark trees
+    and names, and the resolution database built from it. Only the
+    cluster balls are S4's own (memoised on first use). *)
 
 val radius : t -> int -> float
 (** [d(v, l_v)], the ball radius governing who stores a route to [v]. *)

@@ -11,7 +11,7 @@ type t = {
   directory : Packed.Csr.t;
       (* the resolver map inverted: row v = the destinations whose
          directory entry v stores, sorted ascending *)
-  trees : Landmark_trees.t; (* link-state trees, one per router *)
+  trees : Landmark_trees.t; (* the topology's SSSP memo: link-state trees *)
 }
 
 (* Invert [resolver] into a CSR by counting sort: row v lists v's
@@ -32,7 +32,8 @@ let invert_resolver n resolver =
     resolver;
   Packed.Csr.of_parts ~off ~data
 
-let build graph ~names =
+let build ~trees ~names =
+  let graph = Landmark_trees.graph trees in
   let n = Graph.n graph in
   if Array.length names <> n then invalid_arg "Seattle.build: names size";
   let ring =
@@ -48,7 +49,7 @@ let build graph ~names =
     ring;
     resolver;
     directory = invert_resolver n resolver;
-    trees = Landmark_trees.create graph;
+    trees;
   }
 
 let shortest t ~src ~dst = Landmark_trees.path_from t.trees ~lm:src dst

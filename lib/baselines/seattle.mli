@@ -10,7 +10,10 @@
 
 type t
 
-val build : Disco_graph.Graph.t -> names:Disco_core.Name.t array -> t
+val build : trees:Disco_core.Landmark_trees.t -> names:Disco_core.Name.t array -> t
+(** SEATTLE over the memo's graph. [trees] is the topology's SSSP memo: a
+    router's link-state table is the tree rooted at it, read from the memo
+    rather than recomputed. *)
 
 val resolver_of : t -> int -> int
 (** The router storing a destination's location (consistent hashing over

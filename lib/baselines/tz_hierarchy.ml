@@ -11,7 +11,7 @@ type t = {
   level : int array; (* highest level each node belongs to *)
   pivot : int array array; (* pivot.(i).(v) = p_i(v); -1 if unreachable *)
   bunch : Packed.Csr.t; (* per node: sorted bunch member ids *)
-  trees : Landmark_trees.t; (* per-pivot SSSP shared by both faces *)
+  trees : Landmark_trees.t; (* the topology's SSSP memo: pivot trees *)
 }
 
 (* disco-lint: allow L10 test_tz_hierarchy's "levels nested" checks the sampled levels through it *)
@@ -57,8 +57,9 @@ let scatter ~graph:g ~next_dist ~staging ~w ~i =
         end
   done
 
-let build ~rng ~k graph =
+let build ~rng ~k ~trees =
   if k < 1 then invalid_arg "Tz_hierarchy.build: k >= 1";
+  let graph = Landmark_trees.graph trees in
   let n = Graph.n graph in
   let level = Array.make n 0 in
   let q = float_of_int n ** (-1.0 /. float_of_int k) in
@@ -108,7 +109,7 @@ let build ~rng ~k graph =
         Array.sort Int.compare row;
         Array.blit row 0 data off (Array.length row))
   in
-  { graph; k; level; pivot; bunch; trees = Landmark_trees.create graph }
+  { graph; k; level; pivot; bunch; trees }
 
 let state t v = Packed.Csr.row_len t.bunch v + t.k
 

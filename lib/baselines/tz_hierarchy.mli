@@ -18,9 +18,11 @@
 
 type t
 
-val build : rng:Disco_util.Rng.t -> k:int -> Disco_graph.Graph.t -> t
-(** [build ~rng ~k g] samples the hierarchy and computes all bunches.
-    Requires [k >= 1]; [k = 1] degenerates to full shortest-path state. *)
+val build : rng:Disco_util.Rng.t -> k:int -> trees:Disco_core.Landmark_trees.t -> t
+(** [build ~rng ~k ~trees] samples the hierarchy over the memo's graph and
+    computes all bunches; routes read the pivots' shortest-path trees from
+    [trees], the topology's SSSP memo. Requires [k >= 1]; [k = 1]
+    degenerates to full shortest-path state. *)
 
 val level_sizes : t -> int array
 (** |A_0|, ..., |A_{k-1}|. *)

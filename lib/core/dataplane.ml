@@ -46,8 +46,6 @@ type action =
   | Resolution_via of int
   | Shortcut_divert
   | Address_rewrite
-  | Directory_detour of int
-  | Toward_pivot of int
   | Label_hop
   | Hop of int
   | Greedy_commit of int
@@ -68,8 +66,6 @@ let action_to_string = function
   | Resolution_via lm -> Printf.sprintf "resolution fallback via landmark %d" lm
   | Shortcut_divert -> "to-destination shortcut"
   | Address_rewrite -> "address learned: explicit label route"
-  | Directory_detour r -> Printf.sprintf "directory detour via %d" r
-  | Toward_pivot w -> Printf.sprintf "toward routing pivot %d" w
   | Label_hop -> "label hop"
   | Hop v -> Printf.sprintf "forward to %d" v
   | Greedy_commit e -> Printf.sprintf "greedy commit toward %d" e

@@ -71,8 +71,6 @@ type action =
   | Resolution_via of int  (** falling back to the resolution DB's owner *)
   | Shortcut_divert  (** to-destination shortcutting replaced the labels *)
   | Address_rewrite  (** a directory/landmark wrote the explicit route *)
-  | Directory_detour of int  (** detour via a lookup node (SEATTLE, S4) *)
-  | Toward_pivot of int  (** TZ: steering to the routing pivot *)
   | Label_hop  (** consumed one explicit-route label *)
   | Hop of int  (** plain forward, header unchanged *)
   | Greedy_commit of int  (** committed to a closer anchor (VRR) or

@@ -154,8 +154,8 @@ let state_bytes t ~name_bytes v =
    address), the consistent-hash ring every node stores, an amortised
    share of the Othello owner FIB, this node's slice of the group index,
    the packed addresses of mutually-grouped members it stores, and — at
-   landmarks — the resolution shard (a 16-byte Kv64 slot plus the stored
-   address per owned name). *)
+   landmarks — the resolution shard (a 16-byte slot for the name hash and
+   its key, plus the stored address per owned name). *)
 let packed_state_bytes t v =
   let nd = t.nd in
   let n = Nddisco.n nd in

@@ -1,5 +1,7 @@
 (** Shortest-path trees, one per root: landmarks (Disco, NDDisco, S4),
-    routers (SEATTLE's link-state table) or pivots (TZ).
+    sources (path vector's routes, SEATTLE's link-state table) or pivots
+    (TZ). One memo serves every scheme on a topology: NDDisco creates it,
+    and the testbed hands the same one to the other schemes.
 
     Path-vector convergence leaves every node with a shortest path to every
     landmark; statically that is the landmark's single-source tree. Trees
@@ -8,7 +10,17 @@
 
 type t
 
-val create : Disco_graph.Graph.t -> t
+val create : Disco_graph.Graph.t -> pinned:bool array -> t
+(** [pinned.(v)] keeps [v]'s tree for the memo's lifetime once computed
+    (NDDisco pins its landmarks). Trees of other roots share a fixed
+    budget of 2^19 node entries (at least 4 trees): past it the least
+    recently used is dropped and recomputed on its next use, so routes
+    never change and the unpinned trees never take more than
+    max(8 MiB, 64 B per node).
+    @raise Invalid_argument if [pinned] has not one entry per node. *)
+
+val graph : t -> Disco_graph.Graph.t
+(** The topology the trees are computed on. *)
 
 val dist : t -> lm:int -> int -> float
 (** [d(lm, v)] (= [d(v, lm)], the graph is undirected). *)
@@ -37,3 +49,4 @@ val prime : t -> int array array -> int -> unit
     at flow setup, so the hop loop only reads rows. *)
 
 val cached_count : t -> int
+(** Number of pinned trees computed so far. *)

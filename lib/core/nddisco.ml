@@ -41,7 +41,7 @@ let build ?(params = Params.default) ?names ?landmark_ids ?(guarantee_coverage =
     else landmarks
   in
   let vicinity = Vicinity.create graph ~k in
-  let trees = Landmark_trees.create graph in
+  let trees = Landmark_trees.create graph ~pinned:landmarks.Landmarks.is_landmark in
   let addresses =
     let alm = Array.make n 0 in
     let roff = Array.make (n + 1) 0 in

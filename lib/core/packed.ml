@@ -91,44 +91,6 @@ module Fslab = struct
   let set (t : t) i x = Bigarray.Array1.set t i x
 end
 
-module Kv64 = struct
-  type t = {
-    keys : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-    vals : int array;
-  }
-
-  let of_pairs pairs =
-    let sorted = Array.copy pairs in
-    Array.sort
-      (fun (a, va) (b, vb) ->
-        let c = Int64.unsigned_compare a b in
-        if c <> 0 then c else Int.compare va vb)
-      sorted;
-    let n = Array.length sorted in
-    let keys = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n in
-    let vals = Array.make n 0 in
-    Array.iteri
-      (fun i (k, v) ->
-        Bigarray.Array1.set keys i k;
-        vals.(i) <- v)
-      sorted;
-    { keys; vals }
-
-  let length t = Array.length t.vals
-  let key t i = Bigarray.Array1.get t.keys i
-  let value t i = t.vals.(i)
-
-  let rank_geq t probe =
-    let lo = ref 0 and hi = ref (Array.length t.vals) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Int64.unsigned_compare (Bigarray.Array1.get t.keys mid) probe < 0 then
-        lo := mid + 1
-      else hi := mid
-    done;
-    !lo
-end
-
 module Bitvec = struct
   type t = { words : int array; width : int; per_word : int; mask : int; len : int }
 

@@ -55,25 +55,6 @@ module Fslab : sig
   val set : t -> int -> float -> unit
 end
 
-(** Sorted 64-bit keys in an int64 [Bigarray] slab with parallel int
-    values: the binary-search map behind resolution's hash-order lookup.
-    Keys are ordered as unsigned integers, ties
-    broken by value, matching the hash-ring conventions in
-    [Disco_hash]. Reading a key boxes an [Int64]; hot paths keep
-    (hi, lo) 31-bit halves elsewhere and never touch [key]. *)
-module Kv64 : sig
-  type t
-
-  val of_pairs : (int64 * int) array -> t
-  val length : t -> int
-  val key : t -> int -> int64
-  val value : t -> int -> int
-
-  val rank_geq : t -> int64 -> int
-  (** First index whose key is >= the probe (unsigned order);
-      [length t] if none. *)
-end
-
 (** Fixed-width bit-packed int vector (width 1..30); the value slabs of
     the {!Othello} maps. Values are packed [62 / width] per word so reads
     never cross a word boundary. *)

@@ -1,10 +1,8 @@
-module Hash_space = Disco_hash.Hash_space
 module Consistent_hash = Disco_hash.Consistent_hash
 
 type t = {
   nd : Nddisco.t;
   ring : Consistent_hash.t;
-  sorted : Packed.Kv64.t; (* every node keyed by name hash *)
   mutable fib : Packed.Othello.t option; (* name hash -> owner landmark *)
   mutable owner_cache : int array option;
 }
@@ -17,8 +15,7 @@ let build (nd : Nddisco.t) =
       ~owner_name:(fun lm -> nd.names.(lm))
       ()
   in
-  let sorted = Packed.Kv64.of_pairs (Array.mapi (fun v h -> (h, v)) nd.hashes) in
-  { nd; ring; sorted; fib = None; owner_cache = None }
+  { nd; ring; fib = None; owner_cache = None }
 
 let owner t name = Consistent_hash.owner_of_name t.ring name
 
@@ -85,19 +82,5 @@ let resolve_then_route ?(heuristic = Shortcut.No_path_knowledge) t ~src ~dst =
     in
     Shortcut.apply ~graph:nd.graph ~knows:(Nddisco.knows nd) heuristic ~fwd ~rev
   end
-
-(* disco-lint: allow L10 only test_resolution's "find_closest_hash exact" and "find_closest_hash nearest" call it; their deletion with it is left open on ROADMAP item 9 *)
-let find_closest_hash t key =
-  let arr = t.sorted in
-  let n = Packed.Kv64.length arr in
-  (* Successor index by binary search, then compare with predecessor by
-     circular distance. *)
-  let r = Packed.Kv64.rank_geq arr key in
-  let succ_idx = if r = n then 0 else r in
-  let pred_idx = (succ_idx + n - 1) mod n in
-  let d_succ = Hash_space.ring_distance key (Packed.Kv64.key arr succ_idx) in
-  let d_pred = Hash_space.ring_distance key (Packed.Kv64.key arr pred_idx) in
-  if Hash_space.compare_unsigned d_pred d_succ < 0 then Packed.Kv64.value arr pred_idx
-  else Packed.Kv64.value arr succ_idx
 
 let ring_byte_size t = Consistent_hash.byte_size t.ring

@@ -32,12 +32,6 @@ val resolve_then_route : ?heuristic:Shortcut.heuristic -> t -> src:int -> dst:in
     address, continue to the destination ([s ~> l* ~> l_t ~> t], shortcut
     along the way). This is the route whose stretch is unbounded. *)
 
-val find_closest_hash : t -> Disco_hash.Hash_space.id -> int
-(** The node (any node, not only landmarks) whose name hash is circularly
-    closest to the key — the database query Disco's overlay uses to pick
-    fingers (§4.4): the resolution DB can answer it because it stores every
-    name. *)
-
 val fib : t -> Packed.Othello.t
 (** The succinct owner table: an Othello map from name-hash halves to the
     owning landmark, built on demand from the ring. Lookup is two bit-array

@@ -109,19 +109,16 @@ type sampled = {
 }
 
 (* One converged ROUTER instance behind closures, so a heterogeneous list of
-   built routers can share the measurement loop. [b_fork] hands out per-task
-   query handles (R.fork), which is what makes the measurement loop safe to
-   run on the pool: any query-time mutable state is private to the handle. *)
-type query = {
-  q_first : tel:Telemetry.t -> src:int -> dst:int -> int list option;
-  q_later : tel:Telemetry.t -> src:int -> dst:int -> int list option;
-}
-
+   built routers can share the measurement loop. Every task queries the one
+   built handle: a router holds no query-time mutable state outside
+   [Pool.Memo] (see [Protocol.ROUTER.build]), so the loop is safe to run on
+   the pool. *)
 type built = {
   b_name : string;
   b_flat : string;
   b_state : int -> int;
-  b_fork : unit -> query;
+  b_first : tel:Telemetry.t -> src:int -> dst:int -> int list option;
+  b_later : tel:Telemetry.t -> src:int -> dst:int -> int list option;
   b_build_s : float;
 }
 
@@ -136,15 +133,8 @@ let instantiate (module R : Protocol.ROUTER) tb =
     b_name = R.name;
     b_flat = R.flat_names;
     b_state = R.state_entries r;
-    b_fork =
-      (fun () ->
-        let h = R.fork r in
-        {
-          q_first =
-            (fun ~tel ~src ~dst -> Walk.first (module R) h ~tel ~graph ~src ~dst);
-          q_later =
-            (fun ~tel ~src ~dst -> Walk.later (module R) h ~tel ~graph ~src ~dst);
-        });
+    b_first = (fun ~tel ~src ~dst -> Walk.first (module R) r ~tel ~graph ~src ~dst);
+    b_later = (fun ~tel ~src ~dst -> Walk.later (module R) r ~tel ~graph ~src ~dst);
     b_build_s = now () -. t0;
   }
 
@@ -156,7 +146,6 @@ let state_array packed tb =
    order and reversed at merge time, so the concatenation over tasks (in
    index order) reproduces the sequential sample order exactly. *)
 type slot = {
-  s_query : query;
   s_tel : Telemetry.t;
   mutable s_first : float list;
   mutable s_later : float list;
@@ -185,9 +174,8 @@ let sample_pairs ?(pairs = 2000) ?(dests_per_src = 8) ?(purpose = 11)
         run ?pool ?tel graph tasks
           ~init:(fun _ ->
             Array.map
-              (fun b ->
+              (fun _ ->
                 {
-                  s_query = b.b_fork ();
                   s_tel = Telemetry.create ();
                   s_first = [];
                   s_later = [];
@@ -197,25 +185,25 @@ let sample_pairs ?(pairs = 2000) ?(dests_per_src = 8) ?(purpose = 11)
                 })
               built)
           ~visit:(fun slots ~tel:_ ~src ~dst ~dist ->
-            Array.iter
-              (fun s ->
+            Array.iter2
+              (fun b s ->
                 let t0 = now () in
                 Telemetry.route_call s.s_tel;
-                (match s.s_query.q_first ~tel:s.s_tel ~src ~dst with
+                (match b.b_first ~tel:s.s_tel ~src ~dst with
                 | Some path ->
                     s.s_first <- path_stretch graph ~dist path :: s.s_first
                 | None ->
                     Telemetry.route_failure s.s_tel;
                     s.s_first_failures <- s.s_first_failures + 1);
                 Telemetry.route_call s.s_tel;
-                (match s.s_query.q_later ~tel:s.s_tel ~src ~dst with
+                (match b.b_later ~tel:s.s_tel ~src ~dst with
                 | Some path ->
                     s.s_later <- path_stretch graph ~dist path :: s.s_later
                 | None ->
                     Telemetry.route_failure s.s_tel;
                     s.s_later_failures <- s.s_later_failures + 1);
                 s.s_seconds <- s.s_seconds +. (now () -. t0))
-              slots)
+              built slots)
       in
       let tasks_of ri = List.map (fun slots -> slots.(ri)) (Array.to_list accs) in
       List.mapi

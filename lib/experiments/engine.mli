@@ -75,9 +75,10 @@ val run :
     Accumulators come back in task-index order, and per-task telemetry is
     folded into [?tel] in that same order — so the outcome is identical
     whether the tasks ran inline (no [pool], or a 1-job pool) or on
-    [pool]. [init]/[visit] must touch nothing shared; the engine's own
-    callers get that for free via forked router handles
-    ({!Protocol.ROUTER.fork}). *)
+    [pool]. [init]/[visit] may share only state whose queries do not
+    depend on scheduling: immutable values, and caches behind
+    {!Disco_util.Pool.Memo} whose values depend only on their keys. Built
+    routers meet this ({!Protocol.ROUTER.build}). *)
 
 val map_groups :
   ?jobs:int ->
@@ -128,7 +129,7 @@ val sample_pairs :
 (** Build every router over the testbed and measure them all on the same
     sampled pairs (RNG stream [purpose], default 11). With [jobs > 1]
     (default 1) the builds and the per-source tasks fan out over a domain
-    pool; each task queries forked router handles and private telemetry,
+    pool; each task queries the built routers with private telemetry,
     so every field except [elapsed_s] (wall-clock) is independent of
     [jobs]. Per-router counters are merged into [tel] when given, and a
     {!Results} entry is recorded per router under the current figure. *)

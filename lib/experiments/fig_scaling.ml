@@ -49,10 +49,13 @@ let tradeoff (cfg : Engine.config) =
   (* One draw for every k: the rows compare hierarchies on identical
      pairs. *)
   let groups = Engine.draw_pairs ~dests_per_src:5 pair_rng ~n ~pairs:500 in
+  (* One tree memo for every k: a pivot's tree depends only on the graph.
+     No root is pinned; the memo keeps the pivots in recent use. *)
+  let trees = Disco_core.Landmark_trees.create graph ~pinned:(Array.make n false) in
   let rows =
     List.map
       (fun k ->
-        let tz = Tz.build ~rng:(Rng.create (seed + k)) ~k graph in
+        let tz = Tz.build ~rng:(Rng.create (seed + k)) ~k ~trees in
         let states = Array.init n (fun v -> float_of_int (Tz.state tz v)) in
         let stretches =
           Engine.map_groups ~jobs ~tel ~seed:(Rng.derive seed (90 + k)) graph

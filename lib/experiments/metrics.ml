@@ -34,8 +34,8 @@ type stretch_result = {
   vrr_failures : int;
 }
 
-(* All route calls and VRR walks below read converged state only (the same
-   fact that makes ROUTER.fork the identity for these schemes), so
+(* All route calls and VRR walks below read converged state and
+   [Pool.Memo] caches only (the contract of [Protocol.ROUTER.build]), so
    per-pair mapping is safe to fan out over the pool. *)
 let stretch ?(pairs = 2000) ?(with_vrr = false) ?jobs (tb : Testbed.t) =
   let heuristic = Core.Shortcut.No_path_knowledge in

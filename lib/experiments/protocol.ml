@@ -20,7 +20,6 @@ module type ROUTER = sig
   val oracle : (t -> src:int -> dst:int -> int list * int list) option
   val state_entries : t -> int -> int
   val state_bytes : t -> int -> float
-  val fork : t -> t
   val compile : t -> Dataplane.fast_plan
 end
 

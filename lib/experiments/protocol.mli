@@ -31,8 +31,8 @@
     + implement [ROUTER] (usually a thin adapter over an existing module),
       building its label legs from [Dataplane.carry_header]/[carry_along]/
       [label_hop] and their fast twins [fast_carry]/[fast_label_hop], and
-      its shortest-path trees (typed paths and the compiled face's primed
-      parent rows) from [Landmark_trees],
+      taking its shortest-path trees (typed paths and the compiled face's
+      primed parent rows) from the testbed's memo, {!Testbed.trees},
     + [Protocol.register (module My_router)] in {!module:Routers},
     + done — [test_router_registry] picks it up and enforces the contract.
 *)
@@ -49,8 +49,18 @@ module type ROUTER = sig
 
   val build : Testbed.t -> t
   (** Converged state over the testbed's graph. Adapters reuse the
-      testbed's shared instances (same landmark draw across schemes) and
-      its derived RNG streams, so builds are deterministic per seed. *)
+      testbed's shared instances (same landmark draw across schemes), its
+      one SSSP memo ({!Testbed.trees}) and its derived RNG streams, so
+      builds are deterministic per seed.
+
+      The built [t] is the one handle every query uses, from any domain
+      of the parallel engine ({!Engine.sample_pairs}). It must therefore
+      hold no query-time mutable state of its own: converged state is
+      immutable, walker state (per-packet headers, traces, byte
+      accounting) is local to each {!Walk} call, and demand-filled caches
+      (trees, vicinity views, S4's balls) live behind
+      {!Disco_util.Pool.Memo}, whose values depend only on their keys.
+      [state_entries] and [state_bytes] are called from one domain. *)
 
   val ttl_factor : int
   (** Data-plane TTL budget as a multiple of [n] — a generous multiple of
@@ -96,20 +106,6 @@ module type ROUTER = sig
       packed representations (CSR rows, distance slabs, Othello FIB
       shares) — measured storage, not entries × a modelled name size.
       The [state] figure and the scaling bench plot this directly. *)
-
-  val fork : t -> t
-  (** A query handle that can route and forward concurrently with the
-      original from another domain: shared converged state is immutable
-      and may alias, but any query-time mutable scratch must either be
-      private to the returned handle (path vector's fork gets a fresh SSSP
-      memo and workspace for its headers) or live behind {!Disco_util.Pool.Memo} (the
-      demand-filled landmark/vicinity/ball/tree caches in Disco, NDDisco,
-      S4, Seattle and TZ, whose cross-pair amortization is the point of
-      sharing). Fork is therefore the identity for every adapter except
-      path-vector — walker state (per-packet headers, traces, byte
-      accounting) is local to each {!Walk} call, never stored on [t].
-      Forked handles feed the parallel engine ({!Engine.run});
-      [state_entries] is only called on the original. *)
 
   val compile : t -> Disco_core.Dataplane.fast_plan
   (** The scheme's zero-alloc face: node-local state flattened into int

@@ -1,7 +1,5 @@
 module Core = Disco_core
 module Graph = Disco_graph.Graph
-module Dijkstra = Disco_graph.Dijkstra
-module Telemetry = Disco_util.Telemetry
 module D = Core.Dataplane
 
 (* RNG purposes for adapters that draw their own randomness; disjoint from
@@ -39,9 +37,6 @@ module Disco_router = struct
     Core.Disco.total_entries (Core.Disco.state_entries t v)
 
   let state_bytes t v = Core.Disco.packed_state_bytes t v
-
-  (* Routing only reads converged state. *)
-  let fork t = t
 
   let compile t =
     let f = Core.Forwarding.compile t in
@@ -101,8 +96,6 @@ module Nddisco_router = struct
     in
     Core.Nddisco.packed_state_bytes t.nd v +. resolution
 
-  let fork t = t
-
   let compile t =
     let f = Core.Forwarding.compile_nd t.nd in
     {
@@ -118,8 +111,8 @@ module S4_router = struct
     s4 : S4.t;
     (* cluster_sizes accumulates every node's ball — O(total cluster
        state), which million-node scaling runs must not pay at build
-       time. Forced only by the state queries, which the engine contract
-       keeps on the original handle (no cross-domain force). *)
+       time. Forced only by the state queries, which the engine makes
+       from one domain after its tasks return (no cross-domain force). *)
     sizes : (int array * int array) Lazy.t;
   }
 
@@ -148,8 +141,6 @@ module S4_router = struct
     let cluster_sizes, resolution_loads = Lazy.force t.sizes in
     S4.state_bytes t.s4 ~cluster_sizes ~resolution_loads v
 
-  let fork t = t
-
   let compile t =
     let f = S4.compile t.s4 in
     { D.fstep = S4.fast_step f; D.fprime = S4.fast_prime f }
@@ -177,7 +168,6 @@ module Vrr_router = struct
   let oracle = None
   let state_entries t v = t.state.(v)
   let state_bytes t v = Vrr.state_bytes t.vrr v
-  let fork t = t
 
   let compile t =
     let f = Vrr.compile t.vrr in
@@ -205,7 +195,6 @@ module Bvr_router = struct
   let oracle = None
   let state_entries t v = Bvr.state_entries t v
   let state_bytes t v = Bvr.state_bytes t v
-  let fork t = t
 
   let compile t =
     let f = Bvr.compile t in
@@ -221,7 +210,7 @@ module Seattle_router = struct
   let flat_names = "lookup detour"
 
   let build (tb : Testbed.t) =
-    Seattle.build tb.Testbed.graph ~names:(Testbed.nd tb).Core.Nddisco.names
+    Seattle.build ~trees:(Testbed.trees tb) ~names:(Testbed.nd tb).Core.Nddisco.names
 
   let ttl_factor = Seattle.ttl_factor
   let first_header t ~tel:_ ~src ~dst = Seattle.first_header t ~src ~dst
@@ -230,7 +219,6 @@ module Seattle_router = struct
   let oracle = None
   let state_entries t v = Seattle.state_entries t v
   let state_bytes t v = Seattle.state_bytes t v
-  let fork t = t
 
   let compile t =
     let f = Seattle.compile t in
@@ -255,7 +243,7 @@ module Tz_router = struct
     Tz.build
       ~rng:(Testbed.rng tb ~purpose:tz_purpose)
       ~k:(k_for (Graph.n tb.Testbed.graph))
-      tb.Testbed.graph
+      ~trees:(Testbed.trees tb)
 
   let ttl_factor = Tz.ttl_factor
   let first_header t ~tel:_ ~src ~dst = Tz.packet_header t ~src ~dst
@@ -264,7 +252,6 @@ module Tz_router = struct
   let oracle = None
   let state_entries t v = Tz.state t v
   let state_bytes t v = Tz.state_bytes t v
-  let fork t = t
 
   let compile t =
     let f = Tz.compile t in
@@ -273,49 +260,23 @@ end
 
 module Pathvector_router = struct
   (* Converged path vector holds a shortest path to every destination, so
-     the source's header is its shortest path; one SSSP is cached per
-     source because the engine samples destinations grouped by source. *)
-  type t = {
-    graph : Graph.t;
-    ws : Dijkstra.workspace;
-    mutable cached_src : int;
-    mutable sp : Dijkstra.sssp option;
-  }
+     the source's header is its shortest path: the source's tree in the
+     testbed's memo, the same tree SEATTLE's link-state table reads. *)
+  type t = { graph : Graph.t; trees : Core.Landmark_trees.t }
 
   let name = "pathvector"
   let flat_names = "no"
-
-  let build (tb : Testbed.t) =
-    {
-      graph = tb.Testbed.graph;
-      ws = Dijkstra.make_workspace tb.Testbed.graph;
-      cached_src = -1;
-      sp = None;
-    }
-
-  let sssp t ~tel src =
-    match t.sp with
-    | Some sp when t.cached_src = src -> sp
-    | _ ->
-        Telemetry.sssp_run tel;
-        let sp = Dijkstra.sssp ~ws:t.ws t.graph src in
-        t.cached_src <- src;
-        t.sp <- Some sp;
-        sp
+  let build (tb : Testbed.t) = { graph = tb.Testbed.graph; trees = Testbed.trees tb }
 
   let ttl_factor = 4
 
   (* The source's FIB supplies the whole explicit route; the data plane is
      pure label consumption. An unreachable destination leaves the label
      list empty and the walker drops at the source. *)
-  let first_header t ~tel ~src ~dst =
-    let sp = sssp t ~tel src in
-    if src = dst || sp.Dijkstra.dist.(dst) = infinity then D.plain ~dst D.Carry
-    else
-      D.carry_header ~dst
-        (Dijkstra.path_of_parents
-           ~parent:(fun u -> sp.Dijkstra.parent.(u))
-           ~src ~dst)
+  let first_header t ~tel:_ ~src ~dst =
+    if src = dst || Core.Landmark_trees.dist t.trees ~lm:src dst = infinity then
+      D.plain ~dst D.Carry
+    else D.carry_header ~dst (Core.Landmark_trees.path_from t.trees ~lm:src dst)
 
   let later_header = first_header
 
@@ -337,19 +298,9 @@ module Pathvector_router = struct
      state. *)
   let state_bytes t _ = float_of_int (16 * (Graph.n t.graph - 1))
 
-  (* The SSSP memo and the Dijkstra workspace are query-time mutable state:
-     a fork gets fresh ones so two domains never share them. *)
-  let fork t =
-    {
-      t with
-      ws = Dijkstra.make_workspace t.graph;
-      cached_src = -1;
-      sp = None;
-    }
-
   (* The whole route travels as labels, so the compiled forward is the
      pure label-consumption machine; nothing is lazily built per flow
-     (headers come from the source's SSSP memo at setup time). *)
+     (headers come from the source's tree at setup time). *)
   let fast_step (_ : t) (pkt : D.packet) u =
     if u = pkt.D.pdst then D.fast_deliver
     else if pkt.D.pmode <> D.mode_carry then D.fast_protocol

@@ -16,11 +16,7 @@ let rng_for seed purpose = Rng.create ((seed * 1_000_003) + purpose)
 let of_graph ?(seed = 42) ?(params = Core.Params.default) ?kind graph =
   let nd = Core.Nddisco.build ~params ~rng:(rng_for seed 2) graph in
   let disco = Core.Disco.of_nddisco ~rng:(rng_for seed 3) nd in
-  let s4 =
-    Disco_baselines.S4.build ~params
-      ~landmark_ids:nd.Core.Nddisco.landmarks.Core.Landmarks.ids
-      ~rng:(rng_for seed 4) graph
-  in
+  let s4 = Disco_baselines.S4.of_nddisco nd disco.Core.Disco.resolution in
   { seed; kind; graph; disco; s4; vrr_cache = None }
 
 let make ?(seed = 42) ?(params = Core.Params.default) kind ~n =
@@ -37,3 +33,4 @@ let vrr t =
 
 let rng t ~purpose = rng_for t.seed (100 + purpose)
 let nd t = t.disco.Core.Disco.nd
+let trees t = (nd t).Core.Nddisco.trees

@@ -1,15 +1,17 @@
 (** Shared experiment setup: a topology plus converged protocol state.
 
-    Disco, NDDisco and S4 are built over the same landmark set (all three
-    select landmarks uniformly at the same rate; sharing the draw removes
-    one source of cross-protocol noise, as in the paper's methodology of
-    §5.1 where S4 is run "as in [34] except that we use path vector ...
-    making it more comparable to NDDisco"). VRR state is join-order
-    dependent and expensive, so it is built only on demand.
+    Disco, NDDisco and S4 share one landmark set, and S4 resolves names
+    through Disco's resolution database (all three select landmarks
+    uniformly at the same rate; sharing the draw removes one source of
+    cross-protocol noise, as in the paper's methodology of §5.1 where S4
+    is run "as in [34] except that we use path vector ... making it more
+    comparable to NDDisco"). VRR state is join-order dependent and
+    expensive, so it is built only on demand.
 
     The {!module:Protocol} registry's [ROUTER] adapters are all built from
     a [t], so every scheme in an experiment measures the same converged
-    world. *)
+    world, and every shortest-path tree they read comes from one memo,
+    {!trees}. *)
 
 type t = {
   seed : int;
@@ -40,3 +42,9 @@ val rng : t -> purpose:int -> Disco_util.Rng.t
 (** Derived deterministic RNG stream for a measurement phase. *)
 
 val nd : t -> Disco_core.Nddisco.t
+
+val trees : t -> Disco_core.Landmark_trees.t
+(** The testbed's one SSSP memo (NDDisco's landmark trees): every scheme
+    takes its shortest-path trees from it, whatever their roots, so each
+    tree of the topology is computed once. A tree depends only on the
+    graph and its root, so sharing it changes no route. *)

@@ -9,7 +9,8 @@
    directly below it, so it works both as a trailing comment and as a
    standalone line above the flagged expression.  Rule ids are an upper-case
    letter followed by digits; anything after the id list is free-form
-   justification text. *)
+   justification text.  Only real comments count: the source is lexed, so
+   the marker inside a string literal (a rule's hint, say) waives nothing. *)
 
 type t = (string * int, unit) Hashtbl.t
 
@@ -54,25 +55,42 @@ let rec take_rule_ids = function
   | id :: rest when is_rule_id id -> id :: take_rule_ids rest
   | _ -> []
 
+(* Every comment of [source] with the line it starts on (docstrings
+   included).  A source the lexer rejects keeps the comments read before
+   the error; its parse error is reported anyway. *)
+let comments source =
+  let lexbuf = Lexing.from_string source in
+  Lexer.init ();
+  let rec drain () =
+    match Lexer.token lexbuf with Parser.EOF -> () | _ -> drain ()
+  in
+  (try drain () with Lexer.Error _ -> ());
+  List.map
+    (fun (text, (loc : Location.t)) -> (text, loc.loc_start.pos_lnum))
+    (Lexer.comments ())
+
 let scan source : t =
   let tbl = Hashtbl.create 16 in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      match find_sub line marker with
-      | None -> ()
-      | Some at -> (
-          let start = at + String.length marker in
-          let rest = String.sub line start (String.length line - start) in
-          match tokenize rest with
-          | "allow" :: tokens ->
-              List.iter
-                (fun id ->
-                  Hashtbl.replace tbl (id, lineno) ();
-                  Hashtbl.replace tbl (id, lineno + 1) ())
-                (take_rule_ids tokens)
-          | _ -> ()))
-    (String.split_on_char '\n' source);
+  List.iter
+    (fun (text, first) ->
+      List.iteri
+        (fun i line ->
+          let lineno = first + i in
+          match find_sub line marker with
+          | None -> ()
+          | Some at -> (
+              let start = at + String.length marker in
+              let rest = String.sub line start (String.length line - start) in
+              match tokenize rest with
+              | "allow" :: tokens ->
+                  List.iter
+                    (fun id ->
+                      Hashtbl.replace tbl (id, lineno) ();
+                      Hashtbl.replace tbl (id, lineno + 1) ())
+                    (take_rule_ids tokens)
+              | _ -> ()))
+        (String.split_on_char '\n' text))
+    (comments source);
   tbl
 
 let allows (t : t) ~rule ~line = Hashtbl.mem t (rule, line)

@@ -82,22 +82,55 @@ let with_pool ~jobs f =
    converges on the winner's value, which is sound because compute is
    required to be deterministic in the key. A fill borrows a free scratch
    value and makes one only when every value is lent out, so the memo
-   never makes more values than there were fills running at once. *)
+   never makes more values than there were fills running at once. A
+   bounded memo also keeps a clock, stamped on each entry at every fill
+   and hit, and makes room for a new entry by dropping the least recently
+   stamped one. *)
 module Memo = struct
+  (* [used] is the memo's clock at the entry's last fill or hit; a bounded
+     memo evicts the entry with the smallest. *)
+  type 'v cell = { value : 'v; mutable used : int }
+
   type ('k, 'v, 's) t = {
     lock : Mutex.t;
-    table : ('k, 'v) Hashtbl.t;
+    table : ('k, 'v cell) Hashtbl.t;
+    capacity : int; (* max_int: never evicts *)
+    mutable clock : int;
     make_scratch : unit -> 's;
     mutable free : 's list;
   }
 
-  let create ?(size = 64) ~scratch () =
+  let make ~size ~capacity scratch =
     {
       lock = Mutex.create ();
       table = Hashtbl.create size;
+      capacity;
+      clock = 0;
       make_scratch = scratch;
       free = [];
     }
+
+  let create ?(size = 64) ~scratch () = make ~size ~capacity:max_int scratch
+
+  let bounded ~capacity ~scratch () =
+    if capacity < 1 then invalid_arg "Pool.Memo.bounded: capacity < 1";
+    make ~size:capacity ~capacity scratch
+
+  (* Callers hold the lock. *)
+  let touch m c =
+    c.used <- m.clock;
+    m.clock <- m.clock + 1
+
+  let evict_least_recent m =
+    let oldest =
+      Hashtbl.fold
+        (fun k c acc ->
+          match acc with
+          | Some (_, used) when used <= c.used -> acc
+          | _ -> Some (k, c.used))
+        m.table None
+    in
+    Option.iter (fun (k, _) -> Hashtbl.remove m.table k) oldest
 
   let borrow m =
     Mutex.lock m.lock;
@@ -119,24 +152,28 @@ module Memo = struct
   let find_or_add m key compute =
     Mutex.lock m.lock;
     let hit = Hashtbl.find_opt m.table key in
+    (match hit with Some c -> touch m c | None -> ());
     Mutex.unlock m.lock;
     match hit with
-    | Some v -> v
+    | Some c -> c.value
     | None ->
         let s = borrow m in
         let v =
           Fun.protect ~finally:(fun () -> give_back m s) (fun () -> compute s)
         in
         Mutex.lock m.lock;
-        let v =
+        let c =
           match Hashtbl.find_opt m.table key with
           | Some winner -> winner
           | None ->
-              Hashtbl.add m.table key v;
-              v
+              if Hashtbl.length m.table >= m.capacity then evict_least_recent m;
+              let c = { value = v; used = 0 } in
+              Hashtbl.add m.table key c;
+              c
         in
+        touch m c;
         Mutex.unlock m.lock;
-        v
+        c.value
 
   let length m =
     Mutex.lock m.lock;

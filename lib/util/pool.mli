@@ -72,7 +72,16 @@ module Memo : sig
 
   val create : ?size:int -> scratch:(unit -> 's) -> unit -> ('k, 'v, 's) t
   (** [create ~scratch ()] is an empty memo whose fills run on values
-      made by [scratch]. Nothing is made until the first miss. *)
+      made by [scratch]. Nothing is made until the first miss. It keeps
+      every value it is given. *)
+
+  val bounded : capacity:int -> scratch:(unit -> 's) -> unit -> ('k, 'v, 's) t
+  (** Like {!create}, but the memo holds at most [capacity] values: a fill
+      that finds it full first drops the least recently used value (a fill
+      and a hit each count as a use). A dropped key is filled again on its
+      next miss, so a bounded memo trades recomputation for memory; with a
+      deterministic [compute] the values it returns are the same either
+      way. @raise Invalid_argument if [capacity < 1]. *)
 
   val find_or_add : ('k, 'v, 's) t -> 'k -> ('s -> 'v) -> 'v
   (** [find_or_add t k compute] returns the cached value for [k], filling
@@ -86,5 +95,5 @@ module Memo : sig
       lock held. *)
 
   val length : ('k, 'v, 's) t -> int
-  (** Number of distinct keys cached so far. *)
+  (** Number of keys cached now. *)
 end

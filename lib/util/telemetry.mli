@@ -17,7 +17,9 @@ type t = {
   mutable resolution_fallbacks : int;
       (** first packets that fell back to the resolution database *)
   mutable messages_sent : int;  (** protocol messages on the simulator *)
-  mutable sssp_runs : int;  (** shortest-path computations (engine oracles) *)
+  mutable sssp_runs : int;
+      (** shortest-path computations by the engine's oracles; fills of
+          the shared tree memo ([Landmark_trees]) are not counted *)
   mutable packets_walked : int;  (** data-plane walks executed *)
   mutable packets_delivered : int;  (** walks that reached the destination *)
   mutable packets_dropped : int;  (** walks dropped (TTL, loop, no route) *)

@@ -38,6 +38,11 @@ let random_weighted_graph seed =
   let n = 16 + Rng.int rng 48 in
   Gen.geometric ~rng ~n ~avg_degree:8.0
 
+(* A tree memo that pins no root, as the tradeoff figure makes for TZ:
+   every tree goes through the bounded, least-recently-used store. *)
+let unpinned_trees graph =
+  Disco_core.Landmark_trees.create graph ~pinned:(Array.make (Graph.n graph) false)
+
 (* Brute-force all-pairs shortest distances (Floyd-Warshall) for oracles. *)
 let floyd graph =
   let n = Graph.n graph in

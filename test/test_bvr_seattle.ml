@@ -79,7 +79,7 @@ let test_bvr_self_route () =
 let seattle_build seed =
   let g = Helpers.random_weighted_graph seed in
   let names = Name.default_array (Graph.n g) in
-  (g, Seattle.build g ~names)
+  (g, Seattle.build ~trees:(Helpers.unpinned_trees g) ~names)
 
 (* SEATTLE guarantees delivery: a dropped walk fails the test. *)
 let seattle_walk g st ~src header =

@@ -3,7 +3,6 @@
    counterexample, and scenarios replay bit-for-bit. *)
 
 module Graph = Disco_graph.Graph
-module Dijkstra = Disco_graph.Dijkstra
 module Protocol = Disco_experiments.Protocol
 module Testbed = Disco_experiments.Testbed
 module Routers = Disco_experiments.Routers
@@ -29,23 +28,16 @@ let test_bounded_run_passes () =
 module Detour_router = struct
   module D = Disco_core.Dataplane
 
-  type t = { graph : Graph.t; ws : Dijkstra.workspace }
+  type t = { graph : Graph.t; trees : Disco_core.Landmark_trees.t }
 
   let name = "detour"
   let flat_names = "test fixture"
 
-  let build (tb : Testbed.t) =
-    let graph = tb.Testbed.graph in
-    { graph; ws = Dijkstra.make_workspace graph }
+  let build (tb : Testbed.t) = { graph = tb.Testbed.graph; trees = Testbed.trees tb }
 
   let shortest t ~src ~dst =
-    let sp = Dijkstra.sssp ~ws:t.ws t.graph src in
-    if sp.Dijkstra.dist.(dst) = infinity then None
-    else
-      Some
-        (Dijkstra.path_of_parents
-           ~parent:(fun v -> sp.Dijkstra.parent.(v))
-           ~src ~dst)
+    if Disco_core.Landmark_trees.dist t.trees ~lm:src dst = infinity then None
+    else Some (Disco_core.Landmark_trees.path_from t.trees ~lm:src dst)
 
   let detour t ~src ~dst =
     match shortest t ~src ~dst with
@@ -71,7 +63,6 @@ module Detour_router = struct
 
   let state_entries _ _ = 0
   let state_bytes _ _ = 0.0
-  let fork t = { t with ws = Dijkstra.make_workspace t.graph }
 
   (* Same order as [forward]: consume labels before the deliver check, so
      the detour bounce is walked in full on the fast path too. *)

@@ -24,7 +24,6 @@ module Protocol = Disco_experiments.Protocol
 module Routers = Disco_experiments.Routers
 module Testbed = Disco_experiments.Testbed
 module Graph = Disco_graph.Graph
-module Dijkstra = Disco_graph.Dijkstra
 
 let scenario_exn desc =
   match Scenario.of_string desc with
@@ -111,23 +110,15 @@ let test_pinned_fastpath_green () =
 module Lame_fast_router = struct
   module D = Disco_core.Dataplane
 
-  type t = { graph : Graph.t; ws : Dijkstra.workspace }
+  type t = Disco_core.Landmark_trees.t
 
   let name = "lamefast"
   let flat_names = "test fixture"
-
-  let build (tb : Testbed.t) =
-    let graph = tb.Testbed.graph in
-    { graph; ws = Dijkstra.make_workspace graph }
+  let build = Testbed.trees
 
   let shortest t ~src ~dst =
-    let sp = Dijkstra.sssp ~ws:t.ws t.graph src in
-    if sp.Dijkstra.dist.(dst) = infinity then None
-    else
-      Some
-        (Dijkstra.path_of_parents
-           ~parent:(fun v -> sp.Dijkstra.parent.(v))
-           ~src ~dst)
+    if Disco_core.Landmark_trees.dist t ~lm:src dst = infinity then None
+    else Some (Disco_core.Landmark_trees.path_from t ~lm:src dst)
 
   let oracle = None
   let ttl_factor = 4
@@ -146,7 +137,6 @@ module Lame_fast_router = struct
 
   let state_entries _ _ = 0
   let state_bytes _ _ = 0.0
-  let fork t = { t with ws = Dijkstra.make_workspace t.graph }
 
   let compile _t =
     {

@@ -246,7 +246,7 @@ let test_label_leg () =
    tree's own parent array, and a second prime changes nothing. *)
 let test_prime_rows () =
   let g = Helpers.random_weighted_graph 5 in
-  let trees = Core.Landmark_trees.create g in
+  let trees = Core.Landmark_trees.create g ~pinned:(Array.make (Graph.n g) true) in
   let rows = Core.Landmark_trees.rows trees in
   Alcotest.(check int) "one row per node" (Graph.n g) (Array.length rows);
   let root = Graph.n g / 2 in
@@ -263,6 +263,33 @@ let test_prime_rows () =
       if v <> root then
         Alcotest.(check int) (Printf.sprintf "row %d unprimed" v) 0 (Array.length r))
     rows
+
+(* Past its budget (2^19 node entries, so 512 trees at n = 1024) the memo
+   drops the least recently used unpinned tree and refills it on the next
+   read, to the same tree; pinned trees are never dropped. *)
+let test_unpinned_trees_bounded () =
+  let n = 1024 in
+  let g = Disco_graph.Gen.gnm ~rng:(Disco_util.Rng.create 5) ~n ~m:(4 * n) in
+  let pinned = Array.init n (fun v -> v mod 7 = 0) in
+  let trees = Core.Landmark_trees.create g ~pinned in
+  let first = Array.init n (fun v -> Core.Landmark_trees.parents trees ~lm:v) in
+  Array.iteri
+    (fun v row ->
+      Alcotest.(check (array int)) (Printf.sprintf "tree %d = Dijkstra" v)
+        (Dijkstra.sssp g v).Dijkstra.parent row)
+    first;
+  let pinned_count = Array.fold_left (fun c p -> if p then c + 1 else c) 0 pinned in
+  Alcotest.(check int) "cached_count counts the pinned trees" pinned_count
+    (Core.Landmark_trees.cached_count trees);
+  Array.iteri
+    (fun v row ->
+      let again = Core.Landmark_trees.parents trees ~lm:v in
+      Alcotest.(check (array int)) (Printf.sprintf "tree %d refilled equal" v) row again;
+      if pinned.(v) then
+        Alcotest.(check bool) (Printf.sprintf "pinned tree %d kept" v) true (again == row))
+    first;
+  Alcotest.(check bool) "the oldest unpinned tree was dropped" false
+    (Core.Landmark_trees.parents trees ~lm:1 == first.(1))
 
 let suite =
   [
@@ -281,4 +308,6 @@ let suite =
       test_label_leg;
     Alcotest.test_case "landmark trees: prime fills one row once" `Quick
       test_prime_rows;
+    Alcotest.test_case "landmark trees: unpinned trees bounded, refilled equal" `Quick
+      test_unpinned_trees_bounded;
   ]

@@ -1,4 +1,4 @@
-(* The ISSUE's determinism acceptance criterion: the parallel engine must be
+(* The determinism contract of DESIGN.md §5d: the parallel engine must be
    bit-identical to the sequential one. Same seed, jobs=1 vs jobs=4 —
    same samples in the same order, same merged telemetry, and equal
    Results JSON rows (with wall-clock dropped; elapsed_s is the one field
@@ -6,10 +6,10 @@
 
    Since the engine queries routers through the shared walker, the
    telemetry equality below also pins the data plane's walker counters
-   (packets walked, hops, rewrites, header bytes) across fork boundaries:
-   forked handles may alias converged state, but per-packet walker
-   scratch is local to each Walk call, so parallel walks can never bleed
-   into each other's accounting. *)
+   (packets walked, hops, rewrites, header bytes) across domains: every
+   task queries the same built router, but per-packet walker scratch is
+   local to each Walk call, so parallel walks can never bleed into each
+   other's accounting. *)
 
 module Gen = Disco_graph.Gen
 module Telemetry = Disco_util.Telemetry

@@ -127,6 +127,12 @@ let catalogue_sane () =
         (Option.is_some (Rules.find id)))
     [ "L1"; "L2"; "L3"; "L4"; "L5"; "L6" ]
 
+let string_marker_waives_nothing () =
+  (* A rule's hint text quotes the waiver syntax; only a comment waives. *)
+  let ds = lint "l3_string_marker_pos.ml" in
+  Alcotest.(check (list string)) "the L3 finding survives" [ "L3" ]
+    (List.map (fun d -> d.Diagnostic.rule) ds)
+
 let json_roundtrip () =
   let ds = lint "l1_random_pos.ml" in
   let s = Driver.summarize ~files:1 ds in
@@ -152,6 +158,7 @@ let suite =
     test "L6 quiet" (check_quiet "L6" "l6_pool_neg.ml");
     test "positive fixture counts" positive_counts;
     test "waiver suppresses named rule only" waiver_suppresses;
+    test "waiver marker in a string waives nothing" string_marker_waives_nothing;
     test "path scoping" scoping;
     test "per-rule severity override" severity_override;
     test "parse error diagnosed" parse_error_is_diagnosed;

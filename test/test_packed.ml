@@ -37,16 +37,6 @@ let test_csr_of_fn () =
   Alcotest.(check int) "total" 6 (Array.length t.Packed.Csr.data);
   Alcotest.(check int) "value" 31 (Packed.Csr.get t 3 1)
 
-let test_kv64 () =
-  let pairs = [| (5L, 50); (1L, 10); (-1L, 99); (3L, 30) |] in
-  (* -1L is the largest unsigned key; it must sort last. *)
-  let t = Packed.Kv64.of_pairs pairs in
-  Alcotest.(check int) "len" 4 (Packed.Kv64.length t);
-  Alcotest.(check int) "first value" 10 (Packed.Kv64.value t 0);
-  Alcotest.(check int) "unsigned max last" 99 (Packed.Kv64.value t 3);
-  Alcotest.(check int) "rank_geq mid" 1 (Packed.Kv64.rank_geq t 2L);
-  Alcotest.(check int) "rank_geq past end" 4 (Packed.Kv64.rank_geq t (-1L) + 1)
-
 let test_bitvec_roundtrip () =
   let t = Packed.Bitvec.create ~width:7 ~len:200 in
   for i = 0 to 199 do
@@ -211,7 +201,6 @@ let suite =
   [
     Alcotest.test_case "csr layout" `Quick test_csr_layout;
     Alcotest.test_case "csr of_fn" `Quick test_csr_of_fn;
-    Alcotest.test_case "kv64 sorted map" `Quick test_kv64;
     Alcotest.test_case "bitvec round-trip" `Quick test_bitvec_roundtrip;
     Alcotest.test_case "othello empty" `Quick test_othello_empty;
     Alcotest.test_case "othello single key" `Quick test_othello_single;

@@ -150,6 +150,25 @@ let test_memo_raising_fill () =
   Alcotest.(check int) "one scratch made" 1 (Atomic.get made);
   Alcotest.(check int) "now cached" 1 (Pool.Memo.length memo)
 
+(* A bounded memo holds at most [capacity] keys and drops the least
+   recently used one, where a hit counts as a use; a dropped key is
+   filled again, to the same value, on its next miss. *)
+let test_memo_bounded () =
+  let fills = ref [] in
+  let memo = Pool.Memo.bounded ~capacity:2 ~scratch:(fun () -> ()) () in
+  let get k = Pool.Memo.find_or_add memo k (fun () -> fills := k :: !fills; k * k) in
+  Alcotest.(check int) "fill 1" 1 (get 1);
+  Alcotest.(check int) "fill 2" 4 (get 2);
+  Alcotest.(check int) "hit 1" 1 (get 1);
+  Alcotest.(check int) "fill 3" 9 (get 3);
+  Alcotest.(check int) "at capacity" 2 (Pool.Memo.length memo);
+  Alcotest.(check int) "1 kept: it was used after 2" 1 (get 1);
+  Alcotest.(check int) "2 was dropped and refills" 4 (get 2);
+  Alcotest.(check (list int)) "fill order" [ 2; 3; 2; 1 ] !fills;
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Pool.Memo.bounded: capacity < 1") (fun () ->
+      ignore (Pool.Memo.bounded ~capacity:0 ~scratch:(fun () -> ()) ()))
+
 let suite =
   [
     Alcotest.test_case "jobs=1 is a plain map" `Quick test_sequential_jobs1;
@@ -162,4 +181,6 @@ let suite =
       test_memo_lends_scratch;
     Alcotest.test_case "Memo: a raising fill gives its scratch back" `Quick
       test_memo_raising_fill;
+    Alcotest.test_case "Memo.bounded drops the least recently used" `Quick
+      test_memo_bounded;
   ]

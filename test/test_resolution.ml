@@ -4,7 +4,6 @@ module Nddisco = Disco_core.Nddisco
 module Resolution = Disco_core.Resolution
 module Landmarks = Disco_core.Landmarks
 module Name = Disco_core.Name
-module Hash_space = Disco_hash.Hash_space
 
 let build seed =
   let g = Helpers.random_weighted_graph seed in
@@ -62,28 +61,6 @@ let test_resolve_route_valid () =
     done
   done
 
-let test_find_closest_hash () =
-  let _, nd, res = build 13 in
-  (* Querying a node's exact hash returns that node. *)
-  for v = 0 to min 20 (Array.length nd.Nddisco.hashes - 1) do
-    Alcotest.(check int) "exact hash" v (Resolution.find_closest_hash res nd.Nddisco.hashes.(v))
-  done
-
-let test_find_closest_hash_nearest () =
-  let _, nd, res = build 15 in
-  (* For arbitrary keys, the returned node minimizes ring distance. *)
-  let keys = [ 0L; Int64.min_int; 0x123456789ABCDEFL; -1L ] in
-  List.iter
-    (fun key ->
-      let got = Resolution.find_closest_hash res key in
-      let d_got = Hash_space.ring_distance key nd.Nddisco.hashes.(got) in
-      Array.iter
-        (fun h ->
-          Alcotest.(check bool) "no closer node" true
-            (Hash_space.compare_unsigned d_got (Hash_space.ring_distance key h) <= 0))
-        nd.Nddisco.hashes)
-    keys
-
 let test_flat_names_arbitrary () =
   (* Any string works as a name: resolution treats names opaquely. *)
   let g = Helpers.random_graph ~n_min:20 ~n_max:21 17 in
@@ -108,7 +85,5 @@ let suite =
     Alcotest.test_case "entries_at consistent" `Quick test_entries_at_consistent;
     Alcotest.test_case "owners_by_node cache" `Quick test_owners_by_node;
     Alcotest.test_case "resolve route valid" `Quick test_resolve_route_valid;
-    Alcotest.test_case "find_closest_hash exact" `Quick test_find_closest_hash;
-    Alcotest.test_case "find_closest_hash nearest" `Quick test_find_closest_hash_nearest;
     Alcotest.test_case "arbitrary flat names" `Quick test_flat_names_arbitrary;
   ]

@@ -5,9 +5,16 @@ module Rng = Disco_util.Rng
 module S4 = Disco_baselines.S4
 module Core = Disco_core
 
-let build ?landmark_ids seed =
+(* S4 runs on NDDisco's landmark set and trees and on the resolution
+   database over them, as on a testbed. *)
+let nddisco ?landmark_ids seed g =
+  Core.Nddisco.build ?landmark_ids ~rng:(Rng.create seed) g
+
+let s4_of nd = S4.of_nddisco nd (Core.Resolution.build nd)
+
+let build seed =
   let g = Helpers.random_weighted_graph seed in
-  (g, S4.build ?landmark_ids ~rng:(Rng.create seed) g)
+  (g, s4_of (nddisco seed g))
 
 let test_cluster_definition () =
   (* Brute-force check: w in cluster(v) iff d(v,w) < d(w, l_w). *)
@@ -47,16 +54,13 @@ let test_star_of_stars_worst_case () =
   (* Pick one grandchild as the only landmark: every other grandchild has
      d(g, l_g) = 8 > 3 = d(root, g), so the root clusters ~all of them. *)
   let grandchild = 1 + branch in
-  let s4 = S4.build ~landmark_ids:[| grandchild |] ~rng:(Rng.create 1) g in
-  let sizes = S4.cluster_sizes s4 in
+  let nd = nddisco ~landmark_ids:[| grandchild |] 1 g in
+  let sizes = S4.cluster_sizes (s4_of nd) in
   Alcotest.(check bool)
     (Printf.sprintf "root cluster %d ~ n=%d" sizes.(0) n)
     true
     (sizes.(0) > (2 * n) / 3);
   (* Disco on the same topology and landmark set: state bounded by k. *)
-  let nd =
-    Core.Nddisco.build ~landmark_ids:[| grandchild |] ~rng:(Rng.create 1) g
-  in
   let k = Core.Vicinity.k nd.Core.Nddisco.vicinity in
   let det = Core.Nddisco.state_entries nd 0 in
   Alcotest.(check int) "Disco root vicinity fixed at k" k det.Core.Nddisco.vicinity_entries;
@@ -134,7 +138,9 @@ let test_cluster_path_is_shortest () =
   done
 
 let test_state_entries () =
-  let g, s4 = build 13 in
+  let g = Helpers.random_weighted_graph 13 in
+  let nd = nddisco 13 g in
+  let s4 = s4_of nd in
   let sizes = S4.cluster_sizes s4 in
   let loads = S4.resolution_loads s4 in
   Alcotest.(check int) "resolution loads sum to n" (Graph.n g)
@@ -142,7 +148,7 @@ let test_state_entries () =
   for v = 0 to Graph.n g - 1 do
     let e = S4.state_entries s4 ~cluster_sizes:sizes ~resolution_loads:loads v in
     Alcotest.(check bool) "at least cluster + landmarks" true
-      (e >= sizes.(v) + Core.Landmarks.count (S4.landmarks s4))
+      (e >= sizes.(v) + Core.Landmarks.count nd.Core.Nddisco.landmarks)
   done
 
 let suite =

@@ -4,7 +4,7 @@ module Tz = Disco_baselines.Tz_hierarchy
 
 let build ?(k = 2) seed =
   let g = Helpers.random_weighted_graph seed in
-  (g, Tz.build ~rng:(Rng.create seed) ~k g)
+  (g, Tz.build ~rng:(Rng.create seed) ~k ~trees:(Helpers.unpinned_trees g))
 
 (* Length of the route the data plane takes; infinite when it drops. *)
 let route_length g tz ~src ~dst =
@@ -41,7 +41,7 @@ let test_k1_is_shortest_path () =
 
 let stretch_ok k seed =
   let g = Helpers.random_weighted_graph seed in
-  let tz = Tz.build ~rng:(Rng.create seed) ~k g in
+  let tz = Tz.build ~rng:(Rng.create seed) ~k ~trees:(Helpers.unpinned_trees g) in
   let oracle = Helpers.floyd g in
   let n = Graph.n g in
   let ok = ref true in
@@ -74,9 +74,11 @@ let via_waypoint_ok seed =
   let g = Helpers.random_weighted_graph seed in
   let oracle = Helpers.floyd g in
   let n = Graph.n g in
+  (* One tree memo for every k, as the tradeoff figure shares it. *)
+  let trees = Helpers.unpinned_trees g in
   List.for_all
     (fun k ->
-      let tz = Tz.build ~rng:(Rng.create seed) ~k g in
+      let tz = Tz.build ~rng:(Rng.create seed) ~k ~trees in
       let ok = ref true in
       for s = 0 to n - 1 do
         for t = 0 to n - 1 do
@@ -102,7 +104,7 @@ let test_state_shrinks_with_k () =
   let rng = Rng.create 11 in
   let g = Disco_graph.Gen.gnm ~rng ~n:512 ~m:2048 in
   let mean_state k =
-    let tz = Tz.build ~rng:(Rng.create 13) ~k g in
+    let tz = Tz.build ~rng:(Rng.create 13) ~k ~trees:(Helpers.unpinned_trees g) in
     let total = ref 0 in
     for v = 0 to Graph.n g - 1 do
       total := !total + Tz.state tz v
