@@ -29,8 +29,3 @@ let make (d : Disco.t) ~route ~with_ids ~name_bytes =
 let first_packet d ~heuristic ~name_bytes ~src ~dst =
   let route = Disco.route_first ~heuristic d ~src ~dst in
   make d ~route ~with_ids:(needs_id_list heuristic) ~name_bytes
-
-(* disco-lint: allow L10 only test_header's "later packet no ids" and "label bytes match route" call it; their deletion with it is left open on ROADMAP item 9 *)
-let later_packet d ~name_bytes ~src ~dst =
-  let route = Disco.route_later d ~src ~dst in
-  make d ~route ~with_ids:false ~name_bytes

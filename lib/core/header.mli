@@ -26,6 +26,3 @@ val first_packet :
 (** Header of the first packet as it leaves the source, for the route the
     given heuristic produces. A self-certifying SHA-1-sized identifier is
     [name_bytes = 20]. *)
-
-val later_packet : Disco.t -> name_bytes:int -> src:int -> dst:int -> cost
-(** Later packets carry the name plus the explicit route only. *)

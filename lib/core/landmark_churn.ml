@@ -10,6 +10,9 @@ type t = {
   mutable flips : int;
 }
 
+let redraw_due ~ref_n ~n =
+  float_of_int (max n ref_n) /. float_of_int (max 1 (min n ref_n)) >= 2.0
+
 let draw t ~n = Rng.bernoulli t.rng (Params.landmark_probability t.params ~n)
 
 let fresh_node t ~n = { is_landmark = draw t ~n; ref_n = n }
@@ -30,10 +33,7 @@ let observe t ~n =
   let flipped = ref 0 in
   Array.iter
     (fun node ->
-      let ratio =
-        float_of_int (max n node.ref_n) /. float_of_int (max 1 (min n node.ref_n))
-      in
-      let due = (not t.hysteresis) || ratio >= 2.0 in
+      let due = (not t.hysteresis) || redraw_due ~ref_n:node.ref_n ~n in
       if due then begin
         let status = draw t ~n in
         if t.hysteresis then node.ref_n <- n;

@@ -11,6 +11,12 @@
     policy) so the amortization claim can be measured: see the [churn]
     experiment. *)
 
+val redraw_due : ref_n:int -> n:int -> bool
+(** The hysteresis rule: a node whose status was last drawn at size
+    [ref_n] re-draws at size [n] iff n moved by a factor of at least 2
+    either way. {!observe} and [Disco_dynamic.Network.set_estimate] both
+    decide by it. *)
+
 type t
 
 val create :

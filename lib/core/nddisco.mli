@@ -14,7 +14,7 @@
 
     This module is the static simulator's view: tables as they stand after
     path-vector convergence (the dynamic construction lives in
-    {!Disco_pathvector.Pathvector} and the two are cross-checked in the
+    [Disco_pathvector.Pathvector] and the two are cross-checked in the
     test suite). *)
 
 type addresses = {

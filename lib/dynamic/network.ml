@@ -6,6 +6,8 @@ module Consistent_hash = Disco_hash.Consistent_hash
 module Params = Disco_core.Params
 module Name = Disco_core.Name
 module Dataplane = Disco_core.Dataplane
+module Landmark_churn = Disco_core.Landmark_churn
+module Admission = Disco_pathvector.Admission
 
 (* Protocol timers, in simulated seconds. *)
 let hello_interval = 5.0
@@ -35,7 +37,7 @@ type node = {
   mutable is_lm : bool;
   mutable lm_ref_n : int;
   mutable group_bits : int;
-  routes : (int, route) Hashtbl.t;
+  table : route Admission.t; (* routes, counted toward the k closest *)
   addr_store : (int, addr_entry) Hashtbl.t; (* sloppy-group addresses *)
   res_store : (int, addr_entry) Hashtbl.t; (* resolution DB (landmarks) *)
   last_heard : (int, float) Hashtbl.t; (* neighbor liveness *)
@@ -59,7 +61,7 @@ let landmark_count t =
 
 let route_table_size t v =
   let nd = t.nodes.(v) in
-  Hashtbl.length nd.routes + Hashtbl.length nd.addr_store + Hashtbl.length nd.res_store
+  Hashtbl.length nd.table.routes + Hashtbl.length nd.addr_store + Hashtbl.length nd.res_store
 
 let address_of t v =
   let nd = t.nodes.(v) in
@@ -76,15 +78,13 @@ let address_of t v =
           | Some (_, d) when d <= r.r_dist -> ()
           | _ -> best := Some (dest, r.r_dist)
         end)
-      nd.routes;
+      nd.table.routes;
     match !best with
     | None -> None
     | Some (lm, _) ->
-        let r = Hashtbl.find nd.routes lm in
+        let r = Hashtbl.find nd.table.routes lm in
         Some { Msg.lm; lm_path = List.rev r.r_path }
   end
-
-let vicinity_k nd = Params.vicinity_size params ~n:nd.n_est
 
 let neighbor_alive t nd nbr =
   t.nodes.(nbr).active
@@ -99,7 +99,7 @@ let route_ttl = 2.5 *. refresh_interval
 let addr_ttl = (2.0 *. addr_interval) +. 1.0
 
 let announce_route t nd dest =
-  match Hashtbl.find_opt nd.routes dest with
+  match Hashtbl.find_opt nd.table.routes dest with
   | None -> ()
   | Some r ->
       Graph.iter_neighbors t.graph nd.id (fun nbr _ ->
@@ -121,7 +121,7 @@ let announce_self t nd =
              { dest = nd.id; dest_is_landmark = nd.is_lm; dist = 0.0; path = [ nd.id ] }))
 
 (* §4.2 acceptance: landmarks always; otherwise one of the k closest
-   currently advertised (evicting the worst). *)
+   currently advertised (evicting the farthest). *)
 let consider_route t nd ~dest ~dest_is_lm ~dist ~path =
   if dest = nd.id || List.mem nd.id path then ()
   else begin
@@ -129,10 +129,10 @@ let consider_route t nd ~dest ~dest_is_lm ~dist ~path =
                   r_expires = now t +. route_ttl }
     in
     let install () =
-      Hashtbl.replace nd.routes dest fresh;
+      Admission.replace nd.table dest fresh;
       announce_route t nd dest
     in
-    match Hashtbl.find_opt nd.routes dest with
+    match Hashtbl.find_opt nd.table.routes dest with
     | Some existing when existing.r_is_lm = dest_is_lm && dist >= existing.r_dist ->
         (* No improvement. An equal-cost announcement still refreshes the
            soft state AND replaces the stored path: the announcer is alive
@@ -140,29 +140,11 @@ let consider_route t nd ~dest ~dest_is_lm ~dist ~path =
            may silently cross a dead node (with unit weights, equal-cost
            alternatives are everywhere and would otherwise keep stale
            paths alive forever). *)
-        if dist = existing.r_dist then Hashtbl.replace nd.routes dest fresh
+        if dist = existing.r_dist then Admission.replace nd.table dest fresh
     | Some _ -> install () (* better route, or landmark-status change *)
     | None ->
-        if dest_is_lm then install ()
-        else begin
-          let k = vicinity_k nd in
-          let count = ref 0 and worst = ref (-1) and worst_dist = ref neg_infinity in
-          Hashtbl.iter
-            (fun d r ->
-              if (not r.r_is_lm) && d <> nd.id then begin
-                incr count;
-                if r.r_dist > !worst_dist then begin
-                  worst_dist := r.r_dist;
-                  worst := d
-                end
-              end)
-            nd.routes;
-          if !count < k then install ()
-          else if dist < !worst_dist then begin
-            Hashtbl.remove nd.routes !worst;
-            install ()
-          end
-        end
+        let k = Params.vicinity_size params ~n:nd.n_est in
+        if dest_is_lm || Admission.admit nd.table ~k ~dist then install ()
   end
 
 let purge_routes t nd =
@@ -174,10 +156,10 @@ let purge_routes t nd =
         match first_hop with Some h -> not (neighbor_alive t nd h) | None -> false
       in
       if r.r_expires < now t || hop_dead then dead := dest :: !dead)
-    nd.routes;
+    nd.table.routes;
   List.iter
     (fun dest ->
-      Hashtbl.remove nd.routes dest;
+      Admission.remove nd.table dest;
       withdraw_route t nd dest)
     !dead
 
@@ -198,10 +180,10 @@ let purge_addrs t nd =
 let resolution_owner t nd key =
   Consistent_hash.owner_among t.ring key ~member:(fun v ->
       if v = nd.id then nd.is_lm
-      else match Hashtbl.find_opt nd.routes v with Some r -> r.r_is_lm | None -> false)
+      else match Hashtbl.find_opt nd.table.routes v with Some r -> r.r_is_lm | None -> false)
 
 let next_hop_toward nd dest =
-  match Hashtbl.find_opt nd.routes dest with
+  match Hashtbl.find_opt nd.table.routes dest with
   | Some { r_path = _ :: hop :: _; _ } -> Some hop
   | _ -> None
 
@@ -311,7 +293,7 @@ let rec refresh_timer t v () =
     purge_routes t nd;
     purge_addrs t nd;
     announce_self t nd;
-    Hashtbl.iter (fun dest _ -> announce_route t nd dest) nd.routes;
+    Hashtbl.iter (fun dest _ -> announce_route t nd dest) nd.table.routes;
     Sim.schedule t.sim ~delay:refresh_interval (refresh_timer t v)
   end
 
@@ -356,9 +338,9 @@ let handle t v ~src msg =
     | Msg.Route_withdraw { dest } -> (
         (* Drop only routes standing on the withdrawer, and pass the
            poison on; independent paths survive. *)
-        match Hashtbl.find_opt nd.routes dest with
+        match Hashtbl.find_opt nd.table.routes dest with
         | Some { r_path = _ :: hop :: _; _ } when hop = src ->
-            Hashtbl.remove nd.routes dest;
+            Admission.remove nd.table dest;
             withdraw_route t nd dest
         | _ -> ())
     | Msg.Resolve_insert { origin; addr; target_lm } ->
@@ -383,7 +365,7 @@ let handle t v ~src msg =
                    if c <> 0 then c else Int.compare a b)
           in
           let hops =
-            match Hashtbl.find_opt nd.routes origin with
+            match Hashtbl.find_opt nd.table.routes origin with
             | Some r -> List.length r.r_path - 1
             | None -> List.length addr.Msg.lm_path
           in
@@ -429,7 +411,8 @@ let create ~rng ~graph ~n_estimate () =
           is_lm = false;
           lm_ref_n = n_estimate;
           group_bits = Hash_space.group_size_bits ~n_estimate;
-          routes = Hashtbl.create 32;
+          table =
+            Admission.create ~counted:(fun _ r -> not r.r_is_lm) ~dist:(fun r -> r.r_dist) 32;
           addr_store = Hashtbl.create 32;
           res_store = Hashtbl.create 8;
           last_heard = Hashtbl.create 8;
@@ -452,7 +435,7 @@ let activate t v =
     nd.active <- true;
     nd.is_lm <- Rng.bernoulli nd.rng (Params.landmark_probability params ~n:nd.n_est);
     nd.lm_ref_n <- nd.n_est;
-    Hashtbl.reset nd.routes;
+    Admission.reset nd.table;
     Hashtbl.reset nd.addr_store;
     Hashtbl.reset nd.res_store;
     (* Jittered timer starts keep the event pattern realistic. *)
@@ -476,8 +459,7 @@ let set_estimate t v ~n =
   let nd = t.nodes.(v) in
   nd.n_est <- n;
   nd.group_bits <- Hash_space.group_size_bits ~n_estimate:n;
-  let ratio = float_of_int (max n nd.lm_ref_n) /. float_of_int (max 1 (min n nd.lm_ref_n)) in
-  if nd.active && ratio >= 2.0 then begin
+  if nd.active && Landmark_churn.redraw_due ~ref_n:nd.lm_ref_n ~n then begin
     nd.lm_ref_n <- n;
     let status = Rng.bernoulli nd.rng (Params.landmark_probability params ~n) in
     if status <> nd.is_lm then begin
@@ -496,7 +478,7 @@ let run_until t time = Sim.run ~until:time t.sim
 let carry nd (h : Dataplane.header) =
   if nd.id = h.dst then Dataplane.Deliver
   else
-    match Hashtbl.find_opt nd.routes h.dst with
+    match Hashtbl.find_opt nd.table.routes h.dst with
     | Some { r_path = _ :: direct as path; _ }
       when not (List.equal Int.equal direct h.labels) ->
         Dataplane.carry_along h path Dataplane.Shortcut_divert
@@ -508,7 +490,7 @@ let carry_address nd h { Msg.lm; lm_path } why =
   let to_dst = List.tl lm_path in
   if nd.id = lm then Dataplane.carry_along h (nd.id :: to_dst) why
   else
-    match Hashtbl.find_opt nd.routes lm with
+    match Hashtbl.find_opt nd.table.routes lm with
     | Some { r_path; _ } -> Dataplane.carry_along h (r_path @ to_dst) why
     | None -> Dataplane.Drop No_route
 
@@ -518,7 +500,7 @@ let seek t nd (h : Dataplane.header) =
   let dst = h.dst in
   if nd.id = dst then Dataplane.Deliver
   else
-    match Hashtbl.find_opt nd.routes dst with
+    match Hashtbl.find_opt nd.table.routes dst with
     | Some { r_path; _ } -> Dataplane.carry_along h r_path Dataplane.Direct_route
     | None -> (
         match Hashtbl.find_opt nd.addr_store dst with
@@ -545,7 +527,7 @@ let seek t nd (h : Dataplane.header) =
    seeks afresh. *)
 let steer t nd (h : Dataplane.header) =
   let owner = h.waypoint in
-  if Hashtbl.mem nd.routes h.dst || Hashtbl.mem nd.addr_store h.dst || nd.id = owner
+  if Hashtbl.mem nd.table.routes h.dst || Hashtbl.mem nd.addr_store h.dst || nd.id = owner
   then seek t nd h
   else
     match next_hop_toward nd owner with

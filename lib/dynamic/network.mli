@@ -10,7 +10,11 @@
     - routes (landmarks + the k closest nodes) spread by event-driven path
       vector with the acceptance rule of §4.2, refreshed every
       [refresh_interval] and expired when stale (soft state — leaves
-      converge without explicit withdrawals);
+      converge without explicit withdrawals). As in the static path
+      vector, each table is a {!Disco_pathvector.Admission.t} (an exact
+      count of vicinity routes and a bound on their distance), with k from
+      the node's own estimate of n; expiry and withdrawals here let a
+      shorter route evict the farthest;
     - each node periodically recomputes its address (closest landmark in
       its table + the reverse of that route), inserts it at the resolution
       owner (§4.3: "updated every t minutes and timed out after 2t+1"),
@@ -22,8 +26,9 @@
       node; the known landmarks' points are a subsequence of it in the
       same order, so the first of them from the hash's successor on is
       that landmark;
-    - landmark status follows the factor-2 hysteresis rule when the
-      (externally supplied) estimate of n changes.
+    - landmark status follows the factor-2 hysteresis rule
+      ({!Disco_core.Landmark_churn.redraw_due}) when the (externally
+      supplied) estimate of n changes.
 
     The driver activates/deactivates nodes and advances time; routing
     queries walk the packet hop by hop through the shared
@@ -57,7 +62,7 @@ val deactivate : t -> int -> unit
 
 val set_estimate : t -> int -> n:int -> unit
 (** Update one node's estimate of n (re-evaluates landmark status under
-    the hysteresis rule, and its group width). *)
+    {!Disco_core.Landmark_churn.redraw_due}, and its group width). *)
 
 val run_until : t -> float -> unit
 (** Advance simulated time (processing all protocol events). *)

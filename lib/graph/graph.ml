@@ -79,12 +79,6 @@ let neighbors t u =
       let j = t.row.(u) + i in
       (t.col.(j), t.wgt.(j)))
 
-(* disco-lint: allow L10 only test_graph's "fold neighbors" calls it; its deletion with that test is left open on ROADMAP item 9 *)
-let fold_neighbors t u ~init ~f =
-  let acc = ref init in
-  iter_neighbors t u (fun v w -> acc := f !acc v w);
-  !acc
-
 (* The fast-path variant of [nth_neighbor]: no bounds check, no weight,
    no tuple — the compiled walkers decode forwarding labels with this on
    every hop, so it must stay off the minor heap (lint L7). *)
@@ -119,17 +113,6 @@ let neighbor_rank t u v =
 
 let edge_weight t u v = Option.map (fun slot -> t.wgt.(slot)) (find_slot t u v)
 let edge_index t u v = find_slot t u v
-
-(* disco-lint: allow L10 only test_graph's "arc endpoints inverse" calls it; its deletion with that test is left open on ROADMAP item 9 *)
-let arc_endpoints t idx =
-  if idx < 0 || idx >= t.row.(t.n) then invalid_arg "Graph.arc_endpoints";
-  (* Binary search in row offsets for the source node. *)
-  let lo = ref 0 and hi = ref (t.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if t.row.(mid) <= idx then lo := mid else hi := mid - 1
-  done;
-  (!lo, t.col.(idx))
 
 let edges t =
   let acc = ref [] in

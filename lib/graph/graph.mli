@@ -43,8 +43,6 @@ val neighbors : t -> int -> (int * float) list
 val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 (** Allocation-free iteration over [u]'s neighbors. *)
 
-val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
-
 val neighbor_at : t -> int -> int -> int
 (** [neighbor_at g u i] is the node reached by forwarding label [i] at
     [u] — {!nth_neighbor} without the weight, the bounds check or the
@@ -70,9 +68,6 @@ val edge_weight : t -> int -> int -> float option
 val edge_index : t -> int -> int -> int option
 (** Dense id in [0, 2m) of the directed arc [u -> v]; arcs [u->v] and
     [v->u] have distinct ids. Used by congestion counters. *)
-
-val arc_endpoints : t -> int -> int * int
-(** Inverse of {!edge_index}: [(u, v)] for a directed arc id. *)
 
 val edges : t -> (int * int * float) list
 (** Each undirected edge once, with [u < v]. *)

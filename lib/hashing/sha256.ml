@@ -88,9 +88,6 @@ let digest_bytes_internal data len =
   done;
   Bytes.unsafe_to_string out
 
-(* disco-lint: allow L10 only test_sha256's "digest_bytes" calls it; its deletion with that test is left open on ROADMAP item 9 *)
-let digest_bytes data = digest_bytes_internal data (Bytes.length data)
-
 let digest msg =
   (* disco-lint: allow L7 a digest allocates its padded block, schedule and 32-byte result by nature; callers cache per-name results *)
   digest_bytes_internal (Bytes.unsafe_of_string msg) (String.length msg)

@@ -8,5 +8,3 @@
 
 val digest : string -> string
 (** [digest msg] is the 32-byte (raw, not hex) SHA-256 digest of [msg]. *)
-
-val digest_bytes : bytes -> string

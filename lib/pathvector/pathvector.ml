@@ -13,9 +13,6 @@ type announcement = { a_dest : int; a_dist : float; a_path : int list }
 type result = {
   tables : (int, route) Hashtbl.t array;
   total_messages : int;
-  messages_by_node : int array;
-  converged_at : float;
-  events : int;
   adj_rib_entries : int array;
 }
 
@@ -25,41 +22,29 @@ let is_landmark mode v =
   | Landmarks_and_k_closest { landmarks; _ } | Landmarks_and_radius { landmarks; _ }
     -> landmarks.(v)
 
-(* Whether [node] may keep a route of length [dist] to non-landmark [dest];
-   returns the destination to evict to make room, if any. *)
-let admission mode table ~node ~dest ~dist =
+(* Whether a table that lacks [dest] admits a route of length [dist] to it
+   (evicting a farther one, in the k-closest mode, to make room). *)
+let admits mode table ~dest ~dist =
   match mode with
-  | Full -> `Accept_no_evict
-  | Landmarks_and_radius { radius; _ } ->
-      if dist < radius.(dest) then `Accept_no_evict else `Reject
+  | Full -> true
+  | Landmarks_and_radius { landmarks; radius } -> landmarks.(dest) || dist < radius.(dest)
   | Landmarks_and_k_closest { landmarks; k } ->
-      (* Count current non-landmark entries (the self entry is bookkeeping,
-         not vicinity state); find the farthest for possible eviction. *)
-      let count = ref 0 and worst = ref (-1) and worst_dist = ref neg_infinity in
-      Hashtbl.iter
-        (fun d (r : route) ->
-          if (not landmarks.(d)) && d <> dest && d <> node then begin
-            incr count;
-            if r.dist > !worst_dist then begin
-              worst_dist := r.dist;
-              worst := d
-            end
-          end)
-        table;
-      if Hashtbl.mem table dest then `Accept_no_evict
-      else if !count < k then `Accept_no_evict
-      else if dist < !worst_dist then `Accept_evict !worst
-      else `Reject
+      landmarks.(dest) || Admission.admit table ~k ~dist
 
 let run ?telemetry ~graph ~mode () =
   let n = Graph.n graph in
   let sim = Sim.create ?telemetry ~graph () in
-  let tables = Array.init n (fun _ -> Hashtbl.create 64) in
+  (* The self entry is bookkeeping, not vicinity state: never counted. *)
+  let tables =
+    Array.init n (fun v ->
+        Admission.create ~counted:(fun d _ -> d <> v && not (is_landmark mode d))
+          ~dist:(fun r -> r.dist) 64)
+  in
   (* (neighbor, dest) pairs for which an announcement would sit in a
      non-forgetful adjacency RIB. *)
   let adj_rib = Array.init n (fun _ -> Hashtbl.create 64) in
   let announce node dest =
-    match Hashtbl.find_opt tables.(node) dest with
+    match Hashtbl.find_opt tables.(node).routes dest with
     | None -> ()
     | Some r ->
         Graph.iter_neighbors graph node (fun nbr _ ->
@@ -73,46 +58,30 @@ let run ?telemetry ~graph ~mode () =
       | None -> ()
       | Some w ->
           let dist = a_dist +. w in
-          let path = node :: a_path in
           let table = tables.(node) in
-          let better =
-            match Hashtbl.find_opt table a_dest with
+          let admitted =
+            match Hashtbl.find_opt table.routes a_dest with
             | Some r -> dist < r.dist
-            | None -> true
+            | None -> admits mode table ~dest:a_dest ~dist
           in
-          if better then
-            if is_landmark mode a_dest then begin
-              Hashtbl.replace table a_dest { dist; path };
-              announce node a_dest
-            end
-            else begin
-              match admission mode table ~node ~dest:a_dest ~dist with
-              | `Reject -> ()
-              | `Accept_no_evict ->
-                  Hashtbl.replace table a_dest { dist; path };
-                  announce node a_dest
-              | `Accept_evict victim ->
-                  Hashtbl.remove table victim;
-                  Hashtbl.replace table a_dest { dist; path };
-                  announce node a_dest
-            end
+          if admitted then begin
+            Admission.replace table a_dest { dist; path = node :: a_path };
+            announce node a_dest
+          end
     end
   in
   Sim.set_handler sim handler;
   (* Every node originates itself at t=0. *)
   for v = 0 to n - 1 do
-    Hashtbl.replace tables.(v) v { dist = 0.0; path = [ v ] };
+    Admission.replace tables.(v) v { dist = 0.0; path = [ v ] };
     Sim.schedule sim ~delay:0.0 (fun () -> announce v v)
   done;
   Sim.run sim;
   (* Self-entries are not routing state; drop them before reporting. *)
-  Array.iteri (fun v table -> Hashtbl.remove table v) tables;
+  Array.iteri (fun v table -> Admission.remove table v) tables;
   {
-    tables;
+    tables = Array.map (fun t -> t.Admission.routes) tables;
     total_messages = Sim.messages_sent sim;
-    messages_by_node = Sim.messages_by_node sim;
-    converged_at = Sim.time sim;
-    events = Sim.events_processed sim;
     adj_rib_entries = Array.map Hashtbl.length adj_rib;
   }
 

@@ -19,7 +19,11 @@ type mode =
   | Full  (** accept a best route for every destination *)
   | Landmarks_and_k_closest of { landmarks : bool array; k : int }
       (** NDDisco: keep landmarks plus the [k] closest destinations
-          currently advertised. *)
+          currently advertised, by {!Admission.admit} as
+          [Disco_dynamic.Network] does. A route reaches a node at the time
+          equal to its length (all originate at t = 0, a message takes its
+          link's weight), so routes arrive in nondecreasing distance and
+          this engine never evicts. *)
   | Landmarks_and_radius of { landmarks : bool array; radius : float array }
       (** S4: keep landmarks plus destinations [w] with
           [d(v,w) < radius.(w)] where [radius.(w) = d(w, l_w)]. *)
@@ -29,9 +33,6 @@ type route = { dist : float; path : int list  (** self .. dest, inclusive *) }
 type result = {
   tables : (int, route) Hashtbl.t array;  (** per node: dest -> route *)
   total_messages : int;
-  messages_by_node : int array;
-  converged_at : float;
-  events : int;
   adj_rib_entries : int array;
       (** per node: control-plane entries a non-forgetful implementation
           would hold — every (neighbor, destination) pair for which an

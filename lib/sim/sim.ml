@@ -8,9 +8,7 @@ type 'msg t = {
   events : 'msg event Heap.t;
   mutable now : float;
   mutable handler : (int -> src:int -> 'msg -> unit) option;
-  sent : int array;
   mutable total_sent : int;
-  mutable processed : int;
   telemetry : Disco_util.Telemetry.t option;
 }
 
@@ -20,17 +18,14 @@ let create ?telemetry ~graph () =
     events = Heap.create ();
     now = 0.0;
     handler = None;
-    sent = Array.make (Graph.n graph) 0;
     total_sent = 0;
-    processed = 0;
     telemetry;
   }
 
 let set_handler t f = t.handler <- Some f
 let time t = t.now
 
-let count_send t src =
-  t.sent.(src) <- t.sent.(src) + 1;
+let count_send t =
   t.total_sent <- t.total_sent + 1;
   match t.telemetry with
   | Some tel -> Disco_util.Telemetry.message_sent tel
@@ -40,12 +35,12 @@ let send t ~src ~dst msg =
   match Graph.edge_weight t.graph src dst with
   | None -> invalid_arg "Sim.send: src and dst are not adjacent"
   | Some latency ->
-      count_send t src;
+      count_send t;
       Heap.push t.events (t.now +. latency) (Deliver { dst; src; msg })
 
 let send_direct t ~src ~dst ~latency msg =
   if latency < 0.0 then invalid_arg "Sim.send_direct: negative latency";
-  count_send t src;
+  count_send t;
   Heap.push t.events (t.now +. latency) (Deliver { dst; src; msg })
 
 let schedule t ~delay f =
@@ -69,12 +64,9 @@ let run ?until t =
         | None -> continue := false
         | Some (at, ev) ->
             t.now <- at;
-            t.processed <- t.processed + 1;
             (match ev with
             | Deliver { dst; src; msg } -> handler dst ~src msg
             | Timer f -> f ()))
   done
 
 let messages_sent t = t.total_sent
-let messages_by_node t = Array.copy t.sent
-let events_processed t = t.processed

@@ -7,7 +7,7 @@
     in schedule order, so runs are fully deterministic.
 
     Message accounting matches the paper's metric: every protocol message
-    sent to a neighbor counts once toward the sender's total. *)
+    sent counts once toward the run's total. *)
 
 type 'msg t
 
@@ -27,13 +27,13 @@ val time : _ t -> float
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Send over a graph link (src and dst must be adjacent); counts one
-    message against [src] and delivers after the link latency.
+    message and delivers after the link latency.
     @raise Invalid_argument if [src]–[dst] is not an edge. *)
 
 val send_direct : 'msg t -> src:int -> dst:int -> latency:float -> 'msg -> unit
 (** Overlay-bypass delivery for simulated TCP connections between
-    non-adjacent nodes (Disco's overlay links); still counts one message
-    against [src]. *)
+    non-adjacent nodes (Disco's overlay links); still counts one
+    message. *)
 
 val schedule : _ t -> delay:float -> (unit -> unit) -> unit
 (** Run a callback after [delay] simulated time units. *)
@@ -43,7 +43,3 @@ val run : ?until:float -> _ t -> unit
 
 val messages_sent : _ t -> int
 (** Total messages sent so far. *)
-
-val messages_by_node : _ t -> int array
-
-val events_processed : _ t -> int

@@ -21,9 +21,6 @@ let derive seed i =
   let z = mix64 (Int64.add (Int64.of_int seed) (Int64.mul golden_gamma (Int64.of_int (i + 1)))) in
   Int64.to_int (Int64.shift_right_logical z 2)
 
-(* disco-lint: allow L10 only test_rng's "copy freezes state" calls it; its deletion with that test is left open on ROADMAP item 9 *)
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   (* Rejection sampling to avoid modulo bias. *)

@@ -21,9 +21,6 @@ val derive : int -> int -> int
     whose streams are independent — unlike arithmetic on raw seeds, which
     SplitMix64 would partially correlate. Always non-negative. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

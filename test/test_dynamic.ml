@@ -333,9 +333,11 @@ let test_steer_passes_through_dst () =
 
    The estimate falls to n/4 at the non-landmarks only, so the jump
    promotes and never demotes: a demotion at n = 128 sets off a storm of
-   landmark-status flips (1-2M messages per 10 simulated seconds,
-   ROADMAP item 3) that would take this case past a minute. *)
-let trajectory n =
+   landmark-status flips (1-2M messages per 10 simulated seconds) that
+   would take this case past a minute.  The demotion leg below covers
+   landmark routes turning non-landmark at sizes where the storm stays
+   short. *)
+let pinned_run n script =
   let _, net = make ~n ~seed:31 () in
   let rng = Rng.create (n + 37) in
   let pairs = List.init 30 (fun _ -> (Rng.int rng n, Rng.int rng n)) in
@@ -358,6 +360,11 @@ let trajectory n =
       pairs;
     Buffer.add_char b '\n'
   in
+  script net rng landmarks checkpoint;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let trajectory n =
+  pinned_run n @@ fun net rng landmarks checkpoint ->
   Network.activate_all net;
   converge net 150.0;
   checkpoint "cold start";
@@ -375,8 +382,23 @@ let trajectory n =
   checkpoint "estimate jump";
   Array.iter (Network.activate net) failed;
   converge net 520.0;
-  checkpoint "rejoin";
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  checkpoint "rejoin"
+
+(* Every landmark's estimate rises to 4n after the cold start, so most
+   landmarks demote and their routes turn non-landmark across the
+   network.  A fix for the demotion storm changes these messages and
+   must re-pin the digests. *)
+let demotion n =
+  pinned_run n @@ fun net _ landmarks checkpoint ->
+  Network.activate_all net;
+  converge net 150.0;
+  checkpoint "cold start";
+  let before = landmarks () in
+  List.iter (fun v -> Network.set_estimate net v ~n:(4 * n)) before;
+  Alcotest.(check bool) "landmarks demote" true
+    (List.length (landmarks ()) < List.length before);
+  converge net 250.0;
+  checkpoint "demotion"
 
 let test_trajectory_pinned () =
   List.iter
@@ -385,6 +407,15 @@ let test_trajectory_pinned () =
     [
       (64, "b4ae9b684e1dd849029dbddad537f673");
       (128, "12e7c6e584b87704a46da0300783d103");
+    ]
+
+let test_demotion_pinned () =
+  List.iter
+    (fun (n, pinned) ->
+      Alcotest.(check string) (Printf.sprintf "n=%d demotion digest" n) pinned (demotion n))
+    [
+      (48, "7297c1b96c1b412f4fddc31f314c4506");
+      (64, "488d5135577cf0e566aee1d5cbb60fb4");
     ]
 
 let suite =
@@ -406,4 +437,5 @@ let suite =
     Alcotest.test_case "steering passes through its destination" `Quick
       test_steer_passes_through_dst;
     Alcotest.test_case "fixed-seed trajectory is pinned" `Slow test_trajectory_pinned;
+    Alcotest.test_case "fixed-seed demotion is pinned" `Slow test_demotion_pinned;
   ]

@@ -66,16 +66,6 @@ let test_edges_once () =
   Alcotest.(check int) "3 edges" 3 (List.length es);
   List.iter (fun (u, v, _) -> Alcotest.(check bool) "u < v" true (u < v)) es
 
-let test_arc_endpoints_inverse () =
-  let g = triangle () in
-  for u = 0 to 2 do
-    Graph.iter_neighbors g u (fun v _ ->
-        match Graph.edge_index g u v with
-        | None -> Alcotest.fail "edge_index missing"
-        | Some idx ->
-            Alcotest.(check (pair int int)) "inverse" (u, v) (Graph.arc_endpoints g idx))
-  done
-
 let test_connectivity () =
   let g = triangle () in
   Alcotest.(check bool) "triangle connected" true (Graph.is_connected g);
@@ -83,11 +73,6 @@ let test_connectivity () =
   Graph.Builder.add_edge b 0 1 1.0;
   Graph.Builder.add_edge b 2 3 1.0;
   Alcotest.(check bool) "two components" false (Graph.is_connected (Graph.Builder.build b))
-
-let test_fold_neighbors () =
-  let g = triangle () in
-  let sum = Graph.fold_neighbors g 0 ~init:0.0 ~f:(fun acc _ w -> acc +. w) in
-  Alcotest.(check (float 1e-9)) "weights at 0" 5.0 sum
 
 let prop_degree_sum =
   Helpers.qtest "sum of degrees = 2m" ~count:50 Helpers.seed_arb (fun seed ->
@@ -122,9 +107,7 @@ let suite =
     Alcotest.test_case "neighbor rank missing" `Quick test_neighbor_rank_missing;
     Alcotest.test_case "edge weight symmetric" `Quick test_edge_weight_symmetric;
     Alcotest.test_case "edges listed once" `Quick test_edges_once;
-    Alcotest.test_case "arc endpoints inverse" `Quick test_arc_endpoints_inverse;
     Alcotest.test_case "connectivity" `Quick test_connectivity;
-    Alcotest.test_case "fold neighbors" `Quick test_fold_neighbors;
     prop_degree_sum;
     prop_rank_roundtrip;
   ]

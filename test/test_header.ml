@@ -50,19 +50,14 @@ let test_path_knowledge_pays_for_ids () =
   done;
   Alcotest.(check bool) "ids actually cost bytes" true !some_positive
 
-let test_later_packet_no_ids () =
-  let _, d = build 9 in
-  let c = Header.later_packet d ~name_bytes:16 ~src:0 ~dst:5 in
-  Alcotest.(check int) "no ids" 0 c.Header.id_list_bytes;
-  Alcotest.(check int) "ipv6-sized name" 16 c.Header.name_bytes
-
 let test_label_bytes_match_route () =
   (* The header's label bytes are the packed Address of the actual
      route. *)
   let g, d = build 11 in
-  let route = Core.Disco.route_later d ~src:2 ~dst:8 in
+  let heuristic = Core.Shortcut.No_path_knowledge in
+  let route = Core.Disco.route_first ~heuristic d ~src:2 ~dst:8 in
   let addr = Core.Address.make g ~route in
-  let c = Header.later_packet d ~name_bytes:20 ~src:2 ~dst:8 in
+  let c = Header.first_packet d ~heuristic ~name_bytes:20 ~src:2 ~dst:8 in
   Alcotest.(check int) "label bytes" (Core.Address.route_byte_size addr) c.Header.label_bytes
 
 (* --- the explicit-route labels a header carries ---
@@ -156,7 +151,6 @@ let suite =
     Alcotest.test_case "components sum" `Quick test_components_sum;
     Alcotest.test_case "no ids without path knowledge" `Quick test_no_ids_without_path_knowledge;
     Alcotest.test_case "path knowledge pays for ids" `Quick test_path_knowledge_pays_for_ids;
-    Alcotest.test_case "later packet no ids" `Quick test_later_packet_no_ids;
     Alcotest.test_case "label bytes match route" `Quick test_label_bytes_match_route;
     Alcotest.test_case "label roundtrip at boundary widths" `Quick
       test_labels_roundtrip_boundary_widths;

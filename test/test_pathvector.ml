@@ -1,6 +1,10 @@
 module Graph = Disco_graph.Graph
 module Dijkstra = Disco_graph.Dijkstra
+module Gen = Disco_graph.Gen
+module Rng = Disco_util.Rng
+module Core = Disco_core
 module Pathvector = Disco_pathvector.Pathvector
+module Admission = Disco_pathvector.Admission
 
 let check_full_tables g =
   let r = Pathvector.run ~graph:g ~mode:Pathvector.Full () in
@@ -44,8 +48,6 @@ let test_messages_positive () =
   let g = Helpers.random_graph 11 in
   let r = Pathvector.run ~graph:g ~mode:Pathvector.Full () in
   Alcotest.(check bool) "messages flowed" true (r.Pathvector.total_messages > 0);
-  Alcotest.(check int) "per-node sums to total" r.Pathvector.total_messages
-    (Array.fold_left ( + ) 0 r.Pathvector.messages_by_node);
   (* A non-forgetful control plane retains at least one announcement per
      route the data plane keeps (Theorem 2's delta factor). *)
   let sizes = Pathvector.table_sizes r in
@@ -155,6 +157,128 @@ let test_table_sizes () =
   let sizes = Pathvector.table_sizes r in
   Array.iter (fun s -> Alcotest.(check int) "full tables" (Graph.n g - 1) s) sizes
 
+(* --- the shared admission rule ---
+
+   One node's table (node 0 is its own entry, never counted) driven
+   through random writes, against the rule both engines ran before
+   Admission: one linear scan per decision for the count and the first
+   farthest counted route. Distances come from four values, so the
+   farthest routes tie. *)
+
+type entry = { d : float; lm : bool }
+
+let self = 0
+
+let reference (t : entry Admission.t) ~k ~dist =
+  let count = ref 0 and worst = ref (-1) and worst_dist = ref neg_infinity in
+  Hashtbl.iter
+    (fun dest r ->
+      if (not r.lm) && dest <> self then begin
+        incr count;
+        if r.d > !worst_dist then begin
+          worst_dist := r.d;
+          worst := dest
+        end
+      end)
+    t.Admission.routes;
+  if !count < k then `Accept else if dist < !worst_dist then `Evict !worst else `Reject
+
+let recount (t : entry Admission.t) =
+  Hashtbl.fold
+    (fun dest r (n, far) ->
+      if r.lm || dest = self then (n, far) else (n + 1, Float.max far r.d))
+    t.Admission.routes (0, neg_infinity)
+
+(* Each op is (kind, dest, distance index, k or flag). *)
+let admission_matches_scan ops =
+  let t =
+    Admission.create ~counted:(fun dest r -> dest <> self && not r.lm) ~dist:(fun r -> r.d) 4
+  in
+  List.for_all
+    (fun (kind, dest, di, x) ->
+      let dist = float_of_int (1 + di) in
+      let ok =
+        match kind with
+        | 0 | 1 | 2 | 3 when dest <> self && not (Hashtbl.mem t.Admission.routes dest) ->
+            let before = Hashtbl.length t.Admission.routes in
+            let want = reference t ~k:x ~dist in
+            let got = Admission.admit t ~k:x ~dist in
+            let after = Hashtbl.length t.Admission.routes in
+            if got then Admission.replace t dest { d = dist; lm = false };
+            (match want with
+            | `Accept -> got && after = before
+            | `Reject -> (not got) && after = before
+            | `Evict v -> got && after = before - 1 && not (Hashtbl.mem t.Admission.routes v))
+        | 0 | 1 | 2 | 3 | 4 | 5 ->
+            (* A better, equal or worse route, to a landmark or not: every
+               flag flip in both directions. *)
+            Admission.replace t dest { d = dist; lm = x mod 2 = 0 };
+            true
+        | 6 | 7 | 8 ->
+            Admission.remove t dest;
+            true
+        | _ ->
+            Admission.reset t;
+            true
+      in
+      let count, far = recount t in
+      ok && t.Admission.count = count && t.Admission.bound >= far)
+    ops
+
+let prop_admission_matches_scan =
+  Helpers.qtest "admission = linear scan" ~count:300
+    QCheck.(
+      list_of_size (QCheck.Gen.int_range 1 120)
+        (quad (int_bound 9) (int_bound 11) (int_bound 3) (int_bound 13)))
+    admission_matches_scan
+
+(* Fixed-seed output of all three modes, pinned at the engine that scanned
+   the table on every k-closest decision: every table's (dest, dist bits,
+   path) in Hashtbl.iter order, the message count and the RIB sizes. *)
+let mode_digests graph =
+  let n = Graph.n graph in
+  let params = Core.Params.default in
+  let lm = Core.Landmarks.build ~rng:(Rng.create 5) ~params graph in
+  let landmarks = lm.Core.Landmarks.is_landmark in
+  List.map
+    (fun mode ->
+      let r = Pathvector.run ~graph ~mode () in
+      let b = Buffer.create 65536 in
+      Printf.bprintf b "msgs=%d rib:" r.Pathvector.total_messages;
+      Array.iter (Printf.bprintf b " %d") r.Pathvector.adj_rib_entries;
+      Array.iteri
+        (fun v table ->
+          Printf.bprintf b "\n%d:" v;
+          Hashtbl.iter
+            (fun d (route : Pathvector.route) ->
+              Printf.bprintf b " %d %Lx" d (Int64.bits_of_float route.Pathvector.dist);
+              List.iter (Printf.bprintf b ".%d") route.Pathvector.path)
+            table)
+        r.Pathvector.tables;
+      Digest.to_hex (Digest.string (Buffer.contents b)))
+    [
+      Pathvector.Full;
+      Pathvector.Landmarks_and_k_closest
+        { landmarks; k = Core.Params.vicinity_size params ~n };
+      Pathvector.Landmarks_and_radius { landmarks; radius = lm.Core.Landmarks.dist };
+    ]
+
+let test_modes_pinned () =
+  List.iter
+    (fun (what, graph, pinned) ->
+      Alcotest.(check (list string)) (what ^ ": full, k-closest, radius") pinned
+        (mode_digests graph))
+    [
+      ( "G(128, 512)",
+        Gen.gnm ~rng:(Rng.create 41) ~n:128 ~m:512,
+        [ "4c3a20bb92b5fddb6d1c54ad7452a144"; "7dff3a05d6261e0203d521887b8b2902";
+          "c6e1f6edece44811857c4732b4eb6737" ] );
+      ( "geometric n=96",
+        Gen.geometric ~rng:(Rng.create 43) ~n:96 ~avg_degree:8.0,
+        [ "8e710ae9d6a4a20b9ad2c56e54442c57"; "e4a3b5628e500a91da4b4122d42c508e";
+          "77c29020985ebcf544259dc2bb2b31ea" ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "full mode converges to shortest paths" `Quick test_full_converges_to_shortest;
@@ -166,4 +290,6 @@ let suite =
     Alcotest.test_case "landmarks always kept" `Quick test_landmarks_always_kept;
     Alcotest.test_case "radius mode = S4 clusters" `Quick test_radius_mode_matches_clusters;
     Alcotest.test_case "table sizes" `Quick test_table_sizes;
+    prop_admission_matches_scan;
+    Alcotest.test_case "fixed-seed tables are pinned" `Quick test_modes_pinned;
   ]

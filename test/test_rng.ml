@@ -84,13 +84,6 @@ let test_split_independent () =
   let child = Rng.split parent in
   let c1 = Rng.bits64 child and p1 = Rng.bits64 parent in
   Alcotest.(check bool) "streams differ" true (c1 <> p1)
-
-let test_copy_freezes_state () =
-  let a = Rng.create 25 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
-
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -104,5 +97,4 @@ let suite =
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "sample dense case" `Quick test_sample_dense;
     Alcotest.test_case "split independence" `Quick test_split_independent;
-    Alcotest.test_case "copy freezes state" `Quick test_copy_freezes_state;
   ]

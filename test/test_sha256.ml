@@ -50,12 +50,6 @@ let test_block_boundaries () =
     (hex (String.make 56 'x'))
     (hex (String.make 56 'x'))
 
-let test_digest_bytes_matches_string () =
-  let s = "flat names" in
-  Alcotest.(check string) "bytes = string"
-    (Sha256.digest s)
-    (Sha256.digest_bytes (Bytes.of_string s))
-
 let prop_avalanche =
   Helpers.qtest "different inputs, different digests" ~count:100
     QCheck.(pair small_string small_string)
@@ -67,6 +61,5 @@ let suite =
     Alcotest.test_case "million 'a'" `Slow test_million_a;
     Alcotest.test_case "digest length" `Quick test_digest_length;
     Alcotest.test_case "block boundaries" `Quick test_block_boundaries;
-    Alcotest.test_case "digest_bytes" `Quick test_digest_bytes_matches_string;
     prop_avalanche;
   ]
