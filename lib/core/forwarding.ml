@@ -166,9 +166,13 @@ let later_header_nd (nd : Nddisco.t) ~src ~dst =
    copies.  Landmark trees become parent rows primed per flow; name
    hashes split into unsigned 32-bit halves so the group tests never box
    an Int64; each vicinity row gets a second order, by name hash, for the
-   group-proxy search. *)
+   group-proxy search; and the vicinity table is transposed, so a node
+   asks "is dst in my view, and where" of dst's row, which stays cached
+   for the whole packet, rather than of its own. *)
 
-type ranks = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type slab = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type inverse = { ioff : int array; iu : slab; iidx : slab }
 
 type fast = {
   fis_lm : bool array;
@@ -184,17 +188,60 @@ type fast = {
   forder : int array;  (* node ids in hash order ([Groups.sorted_ids]) *)
   frank : int array;  (* each node's index in [forder] *)
   froff : int array;  (* V(v)'s hash-order row is [frows] from froff.(v) *)
-  frows : ranks;  (* V(v)'s members as hash ranks, ascending *)
+  frows : slab;  (* V(v)'s members as hash ranks, ascending *)
+  finv : inverse;  (* the vicinity table transposed *)
 }
 
-let no_ranks : ranks = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
+let int32_slab len = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len
+let no_ranks = int32_slab 0
+
+(* Two passes over the views: count each member's row length, then fill
+   the rows visiting owners in ascending id order, so every row comes out
+   ascending with no sort. *)
+let transpose (views : Vicinity.view array) =
+  let n = Array.length views in
+  let ioff = Array.make (n + 1) 0 in
+  Array.iter
+    (fun vw -> Array.iter (fun w -> ioff.(w + 1) <- ioff.(w + 1) + 1) vw.Vicinity.members)
+    views;
+  for w = 1 to n do
+    ioff.(w) <- ioff.(w) + ioff.(w - 1)
+  done;
+  let iu = int32_slab ioff.(n) and iidx = int32_slab ioff.(n) in
+  let next = Array.sub ioff 0 n in
+  Array.iteri
+    (fun u vw ->
+      Array.iteri
+        (fun i w ->
+          let s = next.(w) in
+          iu.{s} <- Int32.of_int u;
+          iidx.{s} <- Int32.of_int i;
+          next.(w) <- s + 1)
+        vw.Vicinity.members)
+    views;
+  { ioff; iu; iidx }
+
+(* First index in [row.{i..stop-1}] whose entry is >= [r]. *)
+let rec lower_bound (row : slab) r i stop =
+  if i >= stop then i
+  else begin
+    let mid = (i + stop) / 2 in
+    if Int32.to_int row.{mid} < r then lower_bound row r (mid + 1) stop
+    else lower_bound row r i mid
+  end
+
+let inverse_find inv w u =
+  let stop = inv.ioff.(w + 1) in
+  let p = lower_bound inv.iu u inv.ioff.(w) stop in
+  if p < stop && Int32.to_int inv.iu.{p} = u then Int32.to_int inv.iidx.{p} else -1
 
 let compile_nd (nd : Nddisco.t) =
+  let fviews = Vicinity.slots nd.Nddisco.vicinity in
   {
     fis_lm = nd.Nddisco.landmarks.Landmarks.is_landmark;
     ftrees = nd.Nddisco.trees;
     flm = Landmark_trees.rows nd.Nddisco.trees;
-    fviews = Vicinity.slots nd.Nddisco.vicinity;
+    fviews;
     fghi = [||];
     fglo = [||];
     fgbits = [||];
@@ -205,6 +252,7 @@ let compile_nd (nd : Nddisco.t) =
     frank = [||];
     froff = [||];
     frows = no_ranks;
+    finv = transpose fviews;
   }
 
 (* Every view's members as hash ranks, each row ascending, in one int32
@@ -221,7 +269,7 @@ let rank_rows (views : Vicinity.view array) (rank : int array) =
     off.(v + 1) <- off.(v) + m;
     widest := max !widest m
   done;
-  let rows = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout off.(n) in
+  let rows = int32_slab off.(n) in
   let half = (Bits.width_for n + 1) / 2 in
   let mask = (1 lsl half) - 1 in
   let a = Array.make !widest 0 and b = Array.make !widest 0 in
@@ -312,32 +360,25 @@ let rec vseg_search (mem : int array) w lo hi =
     else vseg_search mem w lo (mid - 1)
   end
 
-let vseg_find f v w =
-  let mem = f.fviews.(v).Vicinity.members in
-  vseg_search mem w 0 (Array.length mem - 1)
+(* Label count of the vicinity path to the member at index [j], with
+   that member already counted in [acc]: one parent-index load per
+   label. *)
+let rec vchain_len (parents : int array) j acc =
+  let p = parents.(j) in
+  if p < 0 then acc else vchain_len parents p (acc + 1)
 
-(* Label count of the vicinity path [v ~> x] with [x] already counted in
-   [acc]; -1 when the view does not resolve it — exactly the cases where
-   [Vicinity.path] returns None. *)
-let rec vchain_len f v x acc =
-  let j = vseg_find f v x in
-  if j < 0 then -1
-  else begin
-    let p = f.fviews.(v).Vicinity.parents.(j) in
-    if p = v then acc else vchain_len f v p (acc + 1)
-  end
+let rec vfill_back (pkt : D.packet) (vw : Vicinity.view) j i =
+  pkt.D.proute.(i) <- vw.Vicinity.members.(j);
+  if i > 0 then vfill_back pkt vw vw.Vicinity.parents.(j) (i - 1)
 
-let rec vfill_back f (pkt : D.packet) v x i =
-  pkt.D.proute.(i) <- x;
-  if i > 0 then
-    vfill_back f pkt v f.fviews.(v).Vicinity.parents.(vseg_find f v x) (i - 1)
-
-(* Load the [c] labels of the vicinity path [v ~> w] (probed first with
-   [vchain_len]) into the route window. *)
-let vfill f pkt v w c =
-  vfill_back f pkt v w (c - 1);
+(* Load the labels of the vicinity path to the member at index [j] of
+   [vw] into the route window; returns their count. *)
+let vfill (pkt : D.packet) (vw : Vicinity.view) j =
+  let c = vchain_len vw.Vicinity.parents j 1 in
+  vfill_back pkt vw j (c - 1);
   pkt.D.proute_pos <- 0;
-  pkt.D.proute_end <- c
+  pkt.D.proute_end <- c;
+  c
 
 (* The zero-alloc mirror of [Nddisco.knows] + [carry_along]: load the node's
    direct route to [dst] into the route window.  Returns the label count
@@ -353,12 +394,8 @@ let local_fill f pkt u dst =
     end
   end
   else begin
-    let c = vchain_len f u dst 1 in
-    if c < 1 then 0
-    else begin
-      vfill f pkt u dst c;
-      c
-    end
+    let j = inverse_find f.finv dst u in
+    if j < 0 then 0 else vfill pkt f.fviews.(u) j
   end
 
 (* [address_route] as a fill: the landmark-tree leg [u ~> l_dst] then the
@@ -403,24 +440,15 @@ let fd_cpl hi lo a b =
   let xh = hi.(a) lxor hi.(b) in
   if xh <> 0 then Hash_space.clz xh else 32 + Hash_space.clz (lo.(a) lxor lo.(b))
 
-(* First index in [row.{i..stop-1}] whose rank is >= [r]. *)
-let rec rank_search (row : ranks) r i stop =
-  if i >= stop then i
-  else begin
-    let mid = (i + stop) / 2 in
-    if Int32.to_int row.{mid} < r then rank_search row r (mid + 1) stop
-    else rank_search row r i mid
-  end
-
 (* Prefix length with [dst] of the member at row index [i], -1 off the row. *)
-let side_cpl ~hi ~lo ~order (row : ranks) ~off ~stop i dst =
+let side_cpl ~hi ~lo ~order (row : slab) ~off ~stop i dst =
   if i < off || i >= stop then -1
   else fd_cpl hi lo order.(Int32.to_int row.{i}) dst
 
 (* Walk the row from [i] in direction [step] while members keep prefix
    length [len] with [dst]; [bj] is the best member's index in the
    id-sorted view, by least distance then least id. *)
-let rec proxy_run ~hi ~lo ~order (row : ranks) ~off ~stop ~members
+let rec proxy_run ~hi ~lo ~order (row : slab) ~off ~stop ~members
     ~(dists : float array) dst len i step bj =
   if side_cpl ~hi ~lo ~order row ~off ~stop i dst < len then bj
   else begin
@@ -435,7 +463,7 @@ let rec proxy_run ~hi ~lo ~order (row : ranks) ~off ~stop ~members
 let hash_order_proxy ~hi ~lo ~order ~rank ~row ~off ~len ~members ~dists dst =
   let stop = off + len in
   let r = rank.(dst) in
-  let p = rank_search row r off stop in
+  let p = lower_bound row r off stop in
   let next = if p < stop && Int32.to_int row.{p} = r then p + 1 else p in
   let best =
     max
@@ -447,8 +475,7 @@ let hash_order_proxy ~hi ~lo ~order ~rank ~row ~off ~len ~members ~dists dst =
     let bj =
       proxy_run ~hi ~lo ~order row ~off ~stop ~members ~dists dst best (p - 1) (-1) (-1)
     in
-    let bj = proxy_run ~hi ~lo ~order row ~off ~stop ~members ~dists dst best next 1 bj in
-    members.(bj)
+    proxy_run ~hi ~lo ~order row ~off ~stop ~members ~dists dst best next 1 bj
   end
 
 (* The step machine, decision-for-decision the typed [seek_step] /
@@ -466,24 +493,17 @@ let rec fd_seek f (pkt : D.packet) u tried =
     else if fd_same_group f u dst then fd_addr_carry f pkt u dst
     else if not tried then begin
       let vw = f.fviews.(u) in
-      let w =
+      let j =
         hash_order_proxy ~hi:f.fghi ~lo:f.fglo ~order:f.forder ~rank:f.frank
           ~row:f.frows ~off:f.froff.(u)
           ~len:(f.froff.(u + 1) - f.froff.(u))
           ~members:vw.Vicinity.members ~dists:vw.Vicinity.dists dst
       in
-      if w >= 0 && fd_same_group f w dst then begin
-        if w = u then fd_resolution f pkt u dst
-        else begin
-          let cw = vchain_len f u w 1 in
-          if cw >= 1 then begin
-            vfill f pkt u w cw;
-            pkt.D.pmode <- D.mode_steer_tried;
-            pkt.D.pway <- w;
-            D.route_next pkt
-          end
-          else D.fast_no_route
-        end
+      if j >= 0 && fd_same_group f vw.Vicinity.members.(j) dst then begin
+        let _labels = vfill pkt vw j in
+        pkt.D.pmode <- D.mode_steer_tried;
+        pkt.D.pway <- vw.Vicinity.members.(j);
+        D.route_next pkt
       end
       else fd_resolution f pkt u dst
     end

@@ -65,12 +65,21 @@ val later_header_nd : Nddisco.t -> src:int -> dst:int -> Dataplane.header
     FIB.  Landmark trees become parent rows primed per flow, and name
     hashes unsigned 32-bit halves.
 
-    {!compile} adds one index, the hash-order rows: each node's vicinity
+    {!compile_nd} (and so {!compile}) adds one index, the inverse rows
+    ({!transpose}): for each node [w], the nodes whose vicinity holds
+    [w], 8 B per vicinity entry.  A Carry hop at [u] asks whether [dst]
+    is in V(u), and at which index, of [dst]'s row ({!inverse_find}),
+    which stays in cache for the whole packet, then follows the view's
+    parent indexes with one load per label.
+
+    {!compile} adds another, the hash-order rows: each node's vicinity
     row in a second order, its members' ranks in {!Groups.sorted_ids}
     ascending, 4 B per member in one int32 slab.  A first packet finds
     its group proxy in them by binary search ({!hash_order_proxy})
-    instead of scanning all k members.  The rows are a plan index over
-    state the node already holds, so [state_bytes] does not count them.
+    instead of scanning all k members.
+
+    Both are plan indexes over state the node already holds, so
+    [state_bytes] counts neither.
 
     {!fast_step} mirrors the typed steps decision for decision
     (disco-check's fast≡typed differential holds them to the same hop
@@ -78,14 +87,29 @@ val later_header_nd : Nddisco.t -> src:int -> dst:int -> Dataplane.header
 
 type fast
 
-type ranks = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type slab = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type inverse = {
+  ioff : int array;  (** [w]'s row is [iu]/[iidx] from [ioff.(w)] to [ioff.(w+1) - 1] *)
+  iu : slab;  (** the ids [u] with [w] in V(u), ascending *)
+  iidx : slab;  (** parallel: [w]'s index in V(u)'s id-sorted [members] *)
+}
+(** The vicinity table transposed. *)
+
+val transpose : Vicinity.view array -> inverse
+(** [transpose views], where [views.(u)] is V(u): one pass counts each
+    row, a second fills every row in ascending order. *)
+
+val inverse_find : inverse -> int -> int -> int
+(** [inverse_find inv w u] is [w]'s index in V(u), or [-1] when [w] is
+    not in V(u): a binary search over [w]'s row. *)
 
 val hash_order_proxy :
   hi:int array ->
   lo:int array ->
   order:int array ->
   rank:int array ->
-  row:ranks ->
+  row:slab ->
   off:int ->
   len:int ->
   members:int array ->
@@ -93,10 +117,11 @@ val hash_order_proxy :
   int ->
   int
 (** [hash_order_proxy ~hi ~lo ~order ~rank ~row ~off ~len ~members ~dists
-    dst] is the group proxy the typed [Disco] rule picks in one vicinity
-    row: the member other than [dst] whose name hash shares the longest
-    prefix with [dst]'s, then the least distance, then the least id; [-1]
-    when the row holds no member but [dst].
+    dst] is the index in [members] of the group proxy the typed [Disco]
+    rule picks in one vicinity row: the member other than [dst] whose
+    name hash shares the longest prefix with [dst]'s, then the least
+    distance, then the least id; [-1] when the row holds no member but
+    [dst].
     - [hi]/[lo]: each node's name-hash halves;
     - [order]: node ids by hash (unsigned, ties by id); [rank] inverts it;
     - [row.{off .. off+len-1}]: the row's members as ranks, ascending;

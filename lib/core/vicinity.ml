@@ -24,6 +24,17 @@ let create graph ~k =
 
 let k t = t.k
 
+(* [w]'s index in an id-sorted member row, or -1. *)
+let find_index members w =
+  let lo = ref 0 and hi = ref (Array.length members - 1) in
+  let found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = Int.compare members.(mid) w in
+    if c = 0 then found := mid else if c < 0 then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
 (* Each fill runs on the workspace the memo lends it and copies the
    truncated run into fresh arrays, so cached views are
    workspace-independent; the memo makes the demand fill safe from pool
@@ -48,46 +59,37 @@ let compute t v ws =
       incr j
     end
   done;
-  (* Sort the three parallel arrays by member id for binary search. *)
+  (* Sort the three parallel arrays by member id for binary search, then
+     turn each parent id into its index in the sorted row (-1 for the
+     owner), so a path walks back with one load per label. *)
   let idx = Array.init size Fun.id in
   Array.sort (fun a b -> Int.compare members.(a) members.(b)) idx;
+  let sorted = Array.map (fun i -> members.(i)) idx in
   {
-    members = Array.map (fun i -> members.(i)) idx;
+    members = sorted;
     dists = Array.map (fun i -> dists.(i)) idx;
-    parents = Array.map (fun i -> parents.(i)) idx;
+    parents =
+      Array.map (fun i -> if parents.(i) = v then -1 else find_index sorted parents.(i)) idx;
     radius = !radius;
   }
 
 let view t v =
   Disco_util.Pool.Memo.find_or_add t.cache v (fun ws -> compute t v ws)
 
-let find_index vw w =
-  let lo = ref 0 and hi = ref (Array.length vw.members - 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Int.compare vw.members.(mid) w in
-    if c = 0 then found := mid else if c < 0 then lo := mid + 1 else hi := mid - 1
-  done;
-  if !found < 0 then None else Some !found
-
-let mem t v w = find_index (view t v) w <> None
+let mem t v w = find_index (view t v).members w >= 0
 
 let path t v w =
   let vw = view t v in
-  match find_index vw w with
-  | None -> None
-  | Some i ->
-      (* Walk predecessors back to v; every intermediate is in V(v). *)
-      let rec back u acc =
-        if u = v then Some (v :: acc)
-        else begin
-          match find_index vw u with
-          | None -> None (* corrupt view; cannot happen for a valid run *)
-          | Some j -> back vw.parents.(j) (u :: acc)
-        end
-      in
-      back vw.parents.(i) [ w ]
+  let i = find_index vw.members w in
+  if i < 0 then None
+  else begin
+    (* Walk parent indexes back to the owner; every intermediate is in
+       V(v). *)
+    let rec back j acc =
+      if j < 0 then Some (v :: acc) else back vw.parents.(j) (vw.members.(j) :: acc)
+    in
+    back vw.parents.(i) [ w ]
+  end
 
 let precompute_all t =
   for v = 0 to Graph.n t.graph - 1 do

@@ -18,8 +18,10 @@ type view = {
   members : int array;  (** sorted ascending by node id; excludes the owner *)
   dists : float array;  (** parallel to [members] *)
   parents : int array;
-      (** parallel: predecessor on the shortest path from the owner;
-          the owner itself appears as predecessor of its first hops *)
+      (** parallel: the index in [members] of each member's predecessor
+          on the shortest path from the owner, [-1] where that
+          predecessor is the owner itself (the first hops). A chain of
+          indexes reaches [-1] in at most [k] steps. *)
   radius : float;  (** max distance to a member, 0 if k = 0 *)
 }
 
@@ -30,7 +32,8 @@ val mem : t -> int -> int -> bool
 (** [mem t v w]: is [w] in V(v)? (Not symmetric!) *)
 
 val path : t -> int -> int -> int list option
-(** Shortest path [v; ...; w] if [w] is in V(v). *)
+(** Shortest path [v; ...; w] if [w] is in V(v): one binary search for
+    [w], then one parent-index load per label. *)
 
 
 val precompute_all : t -> unit

@@ -41,8 +41,22 @@ let run ?telemetry ~graph ~mode () =
           ~dist:(fun r -> r.dist) 64)
   in
   (* (neighbor, dest) pairs for which an announcement would sit in a
-     non-forgetful adjacency RIB. *)
-  let adj_rib = Array.init n (fun _ -> Hashtbl.create 64) in
+     non-forgetful adjacency RIB: one bit per (arc node -> neighbor, dest),
+     and the count of bits set per node. *)
+  let adj_rib = Bytes.make (((2 * Graph.m graph * n) + 7) / 8) '\000' in
+  let adj_rib_entries = Array.make n 0 in
+  let hear node src dest =
+    match Graph.edge_index graph node src with
+    | None -> ()
+    | Some arc ->
+        let bit = (arc * n) + dest in
+        let byte = Char.code (Bytes.get adj_rib (bit lsr 3)) in
+        let mask = 1 lsl (bit land 7) in
+        if byte land mask = 0 then begin
+          Bytes.set adj_rib (bit lsr 3) (Char.chr (byte lor mask));
+          adj_rib_entries.(node) <- adj_rib_entries.(node) + 1
+        end
+  in
   let announce node dest =
     match Hashtbl.find_opt tables.(node).routes dest with
     | None -> ()
@@ -53,7 +67,7 @@ let run ?telemetry ~graph ~mode () =
   in
   let handler node ~src { a_dest; a_dist; a_path } =
     if a_dest <> node && not (List.mem node a_path) then begin
-      Hashtbl.replace adj_rib.(node) (src, a_dest) ();
+      hear node src a_dest;
       match Graph.edge_weight graph node src with
       | None -> ()
       | Some w ->
@@ -82,7 +96,7 @@ let run ?telemetry ~graph ~mode () =
   {
     tables = Array.map (fun t -> t.Admission.routes) tables;
     total_messages = Sim.messages_sent sim;
-    adj_rib_entries = Array.map Hashtbl.length adj_rib;
+    adj_rib_entries;
   }
 
 let table_sizes r = Array.map Hashtbl.length r.tables

@@ -38,6 +38,34 @@ let random_weighted_graph seed =
   let n = 16 + Rng.int rng 48 in
   Gen.geometric ~rng ~n ~avg_degree:8.0
 
+(* Small graphs in one to three pieces, with unit weights or weights
+   drawn from {0, 1, 2, 3}. Graph.Builder rejects w <= 0, so weight 0
+   stands for 2^-54: below half an ulp of 1.0, it vanishes when added to
+   any distance >= 1, which makes the same float ties as a zero-weight
+   edge would. *)
+let tie_graph seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 24 in
+  let pieces = 1 + Rng.int rng 3 in
+  let unit = Rng.bool rng in
+  let density = 0.1 +. Rng.float rng 0.4 in
+  let b = Graph.Builder.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if u mod pieces = v mod pieces && Rng.float rng 1.0 < density
+      then
+        let w =
+          if unit then 1.0
+          else
+            match Rng.int rng 4 with
+            | 0 -> Float.ldexp 1.0 (-54)
+            | c -> float_of_int c
+        in
+        Graph.Builder.add_edge b u v w
+    done
+  done;
+  Graph.Builder.build b
+
 (* A tree memo that pins no root, as the tradeoff figure makes for TZ:
    every tree goes through the bounded, least-recently-used store. *)
 let unpinned_trees graph =

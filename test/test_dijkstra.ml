@@ -263,38 +263,10 @@ let plain_k_closest g src k =
     tparent = Array.map (fun v -> par.(v)) order;
   }
 
-(* Small graphs in one to three pieces, with unit weights or weights
-   drawn from {0, 1, 2, 3}. Graph.Builder rejects w <= 0, so weight 0
-   stands for 2^-54: below half an ulp of 1.0, it vanishes when added to
-   any distance >= 1, which makes the same float ties as a zero-weight
-   edge would. *)
-let tie_graph seed =
-  let rng = Disco_util.Rng.create seed in
-  let n = 1 + Disco_util.Rng.int rng 24 in
-  let pieces = 1 + Disco_util.Rng.int rng 3 in
-  let unit = Disco_util.Rng.bool rng in
-  let density = 0.1 +. Disco_util.Rng.float rng 0.4 in
-  let b = Graph.Builder.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if u mod pieces = v mod pieces && Disco_util.Rng.float rng 1.0 < density
-      then
-        let w =
-          if unit then 1.0
-          else
-            match Disco_util.Rng.int rng 4 with
-            | 0 -> Float.ldexp 1.0 (-54)
-            | c -> float_of_int c
-        in
-        Graph.Builder.add_edge b u v w
-    done
-  done;
-  Graph.Builder.build b
-
 let prop_k_closest_exact =
   Helpers.qtest "k_closest = plain truncated Dijkstra, array by array"
     ~count:300 Helpers.seed_arb (fun seed ->
-      let g = tie_graph seed in
+      let g = Helpers.tie_graph seed in
       let n = Graph.n g in
       let ws = Dijkstra.make_workspace g in
       let bits a = Array.map Int64.bits_of_float a in

@@ -1,4 +1,5 @@
 module Graph = Disco_graph.Graph
+module Gen = Disco_graph.Gen
 module Rng = Disco_util.Rng
 module Core = Disco_core
 module Disco = Disco_core.Disco
@@ -220,9 +221,13 @@ let rank_row ?(pad = 0) rank members =
   Array.iteri (fun i r -> row.{pad + i} <- Int32.of_int r) ranks;
   row
 
+(* The proxy the lookup picks, as a node id ([-1] for none). *)
 let lookup (hi, lo, order, rank) ?(pad = 0) members dists dst =
-  Forwarding.hash_order_proxy ~hi ~lo ~order ~rank ~row:(rank_row ~pad rank members)
-    ~off:pad ~len:(Array.length members) ~members ~dists dst
+  let j =
+    Forwarding.hash_order_proxy ~hi ~lo ~order ~rank ~row:(rank_row ~pad rank members)
+      ~off:pad ~len:(Array.length members) ~members ~dists dst
+  in
+  if j < 0 then -1 else members.(j)
 
 (* Crafted names: a hash copied whole from an earlier node (prefix length
    64), its top half kept with a fresh bottom half, it changed from a
@@ -293,6 +298,48 @@ let test_hash_order_proxy_on_views () =
       done)
     [ 3; 5; 11 ]
 
+(* The inverse rows on every generator family, k from 0 to n: each row
+   is strictly ascending, each entry's index names its row's node in
+   that view, the rows hold exactly as many entries as the views, and
+   [inverse_find] finds w in V(u) at its index and nowhere else. *)
+let prop_inverse_rows_transpose =
+  Helpers.qtest "inverse rows are the vicinity table transposed" ~count:40
+    (QCheck.pair (QCheck.int_range 0 (List.length Gen.all_kinds - 1)) Helpers.seed_arb)
+    (fun (kind, seed) ->
+      let rng = Rng.create seed in
+      let n = 16 + Rng.int rng 80 in
+      let g = Gen.by_kind ~rng (List.nth Gen.all_kinds kind) ~n in
+      let vic = Core.Vicinity.create g ~k:(Rng.int rng (n + 1)) in
+      let views = Array.init n (Core.Vicinity.view vic) in
+      let inv = Forwarding.transpose views in
+      let at slab p = Int32.to_int slab.{p} in
+      let row_ok w =
+        let lo = inv.Forwarding.ioff.(w) and hi = inv.Forwarding.ioff.(w + 1) in
+        List.for_all
+          (fun p ->
+            let u = at inv.Forwarding.iu p and i = at inv.Forwarding.iidx p in
+            (p = lo || at inv.Forwarding.iu (p - 1) < u)
+            && u >= 0 && u < n && i >= 0
+            && i < Array.length views.(u).Core.Vicinity.members
+            && views.(u).Core.Vicinity.members.(i) = w)
+          (List.init (hi - lo) (fun j -> lo + j))
+      in
+      let index_in u w =
+        let m = views.(u).Core.Vicinity.members in
+        let rec go i = if i >= Array.length m then -1 else if m.(i) = w then i else go (i + 1) in
+        go 0
+      in
+      Array.length inv.Forwarding.ioff = n + 1
+      && inv.Forwarding.ioff.(n)
+         = Array.fold_left (fun s vw -> s + Array.length vw.Core.Vicinity.members) 0 views
+      && List.for_all row_ok (List.init n Fun.id)
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun w -> Forwarding.inverse_find inv w u = index_in u w)
+               (List.init n Fun.id))
+           (List.init n Fun.id))
+
 let suite =
   [
     Alcotest.test_case "delivery between all pairs" `Quick test_delivery_all_pairs;
@@ -305,4 +352,5 @@ let suite =
     prop_first_packet_stretch_bound;
     prop_hash_order_proxy_is_typed_rule;
     Alcotest.test_case "hash-order proxy on built views" `Quick test_hash_order_proxy_on_views;
+    prop_inverse_rows_transpose;
   ]

@@ -79,11 +79,12 @@ let test_first_hop_count () =
   let g = Helpers.random_graph 17 in
   let vic = Vicinity.create g ~k:8 in
   for v = 0 to Graph.n g - 1 do
-    (* Members whose parent is v itself: the distinct first hops v's
-       vicinity routes use (Theorem 2's label-mapping state term). *)
+    (* Members whose parent is v itself, stored as index -1: the
+       distinct first hops v's vicinity routes use (Theorem 2's
+       label-mapping state term). *)
     let fh =
       Array.fold_left
-        (fun c p -> if p = v then c + 1 else c)
+        (fun c p -> if p < 0 then c + 1 else c)
         0 (Vicinity.view vic v).Vicinity.parents
     in
     Alcotest.(check bool) "at least one" true (fh >= 1);
@@ -120,6 +121,42 @@ let prop_vicinity_asymmetric_ok =
       done;
       !ok)
 
+(* On graphs with float ties and several pieces, for k from 0 to n:
+   every parent index stays in the view, every chain reaches -1 within k
+   steps, and [path] follows real edges for exactly the Dijkstra
+   distance. *)
+let prop_parent_index_chains =
+  Helpers.qtest "parent-index chains reach the owner" ~count:200 Helpers.seed_arb
+    (fun seed ->
+      let g = Helpers.tie_graph seed in
+      let n = Graph.n g in
+      List.for_all
+        (fun k ->
+          let vic = Vicinity.create g ~k in
+          List.for_all
+            (fun v ->
+              let vw = Vicinity.view vic v in
+              let size = Array.length vw.Vicinity.members in
+              let sp = Dijkstra.sssp g v in
+              let rec steps j s =
+                if j < 0 || s > k then s else steps vw.Vicinity.parents.(j) (s + 1)
+              in
+              Array.for_all (fun p -> p >= -1 && p < size) vw.Vicinity.parents
+              && List.for_all
+                   (fun i ->
+                     let w = vw.Vicinity.members.(i) in
+                     steps i 0 <= k
+                     &&
+                     match Vicinity.path vic v w with
+                     | Some (first :: _ as p) ->
+                         first = v
+                         && List.nth p (List.length p - 1) = w
+                         && Helpers.path_len g p = sp.Dijkstra.dist.(w)
+                     | _ -> false)
+                   (List.init size Fun.id))
+            (List.init n Fun.id))
+        [ 0; 1; 2; n / 2; n - 1; n ])
+
 let suite =
   [
     Alcotest.test_case "members are k closest" `Quick test_members_are_k_closest;
@@ -131,4 +168,5 @@ let suite =
     Alcotest.test_case "cache" `Quick test_cache;
     Alcotest.test_case "k = 0" `Quick test_k_zero;
     prop_vicinity_asymmetric_ok;
+    prop_parent_index_chains;
   ]
