@@ -364,8 +364,10 @@ let cluster_sizes t =
   let counts = Array.make n 0 in
   let ws = Dijkstra.make_workspace t.nd.graph in
   for target = 0 to n - 1 do
-    Dijkstra.iter_within_radius ~ws t.nd.graph target (radius t target) (fun u ->
-        if u <> target then counts.(u) <- counts.(u) + 1)
+    let run = Dijkstra.within_radius ~ws t.nd.graph target (radius t target) in
+    Array.iter
+      (fun u -> if u <> target then counts.(u) <- counts.(u) + 1)
+      run.Dijkstra.order
   done;
   counts
 

@@ -189,17 +189,6 @@ let within_radius ?ws g src r =
   let ws = get_ws ws g in
   collect_truncated ws g src ~bound_after:0 ~stop:(fun _ _ d -> d >= r)
 
-let iter_within_radius ?ws g src r f =
-  let ws = get_ws ws g in
-  let stop u _ d =
-    if d >= r then true
-    else begin
-      f u;
-      false
-    end
-  in
-  ignore (run_dijkstra ws g [| src |] ~bound_after:0 ~stop : int)
-
 type multi = { mdist : float array; mparent : int array; msource : int array }
 
 let multi_source g sources =

@@ -62,10 +62,6 @@ val within_radius : ?ws:workspace -> Graph.t -> int -> float -> truncated
     strict inequality matches S4's cluster definition ("closer to v than
     to their closest landmark"). *)
 
-val iter_within_radius : ?ws:workspace -> Graph.t -> int -> float -> (int -> unit) -> unit
-(** [iter_within_radius g src r f] calls [f] on each node {!within_radius}
-    settles, in the same order, without collecting the run. *)
-
 type multi = {
   mdist : float array;  (** distance to the nearest source *)
   mparent : int array;  (** shortest-path forest predecessor; -1 at roots *)
