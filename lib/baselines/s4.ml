@@ -53,11 +53,7 @@ let ball t target =
      copied out, so the cached ball is workspace-independent). *)
   Disco_util.Pool.Memo.find_or_add t.ball_cache target (fun ws ->
       let run = Dijkstra.within_radius ~ws t.nd.graph target (radius t target) in
-      let k = Array.length run.Dijkstra.order in
-      let idx = Array.init k (fun i -> i) in
-      Array.sort
-        (fun a b -> Int.compare run.Dijkstra.order.(a) run.Dijkstra.order.(b))
-        idx;
+      let idx = Dijkstra.id_order run in
       {
         bm = Array.map (fun i -> run.Dijkstra.order.(i)) idx;
         bd = Array.map (fun i -> run.Dijkstra.tdist.(i)) idx;

@@ -33,28 +33,26 @@ let level_sizes t =
    per-node bunches until {!build} freezes them into the CSR. *)
 let scatter ~graph:g ~next_dist ~staging ~w ~i =
   let dist = Hashtbl.create 64 in
-  let heap = Heap.create () in
+  let heap = Heap.create w in
   Heap.push heap 0.0 w;
   Hashtbl.replace dist w 0.0;
   let settled = Hashtbl.create 64 in
-  let continue = ref true in
-  while !continue do
-    match Heap.pop heap with
-    | None -> continue := false
-    | Some (d, u) ->
-        if not (Hashtbl.mem settled u) then begin
-          Hashtbl.replace settled u ();
-          if d < next_dist i u then begin
-            if u <> w then Hashtbl.replace staging.(u) w ();
-            Graph.iter_neighbors g u (fun v wgt ->
-                let nd = d +. wgt in
-                match Hashtbl.find_opt dist v with
-                | Some old when old <= nd -> ()
-                | _ ->
-                    Hashtbl.replace dist v nd;
-                    Heap.push heap nd v)
-          end
-        end
+  while not (Heap.is_empty heap) do
+    let d = Heap.min_prio heap in
+    let u = Heap.pop_min heap in
+    if not (Hashtbl.mem settled u) then begin
+      Hashtbl.replace settled u ();
+      if d < next_dist i u then begin
+        if u <> w then Hashtbl.replace staging.(u) w ();
+        Graph.iter_neighbors g u (fun v wgt ->
+            let nd = d +. wgt in
+            match Hashtbl.find_opt dist v with
+            | Some old when old <= nd -> ()
+            | _ ->
+                Hashtbl.replace dist v nd;
+                Heap.push heap nd v)
+      end
+    end
   done
 
 let build ~rng ~k ~trees =

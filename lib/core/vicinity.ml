@@ -42,14 +42,16 @@ let find_index members w =
 let compute t v ws =
   (* k_closest includes the source; ask for one more and drop it. *)
   let run = Dijkstra.k_closest ~ws t.graph v (t.k + 1) in
-  let total = Array.length run.order in
-  let size = max 0 (total - 1) in
+  let size = max 0 (Array.length run.order - 1) in
   let members = Array.make size 0 in
-  let dists = Array.make size 0.0 in
+  let dists = Array.create_float size in
   let parents = Array.make size 0 in
   let j = ref 0 in
   let radius = ref 0.0 in
-  for i = 0 to total - 1 do
+  (* Copy the run in id order, so members are sorted for binary search. *)
+  let by_id = Dijkstra.id_order run in
+  for o = 0 to Array.length by_id - 1 do
+    let i = by_id.(o) in
     let w = run.order.(i) in
     if w <> v then begin
       members.(!j) <- w;
@@ -59,19 +61,12 @@ let compute t v ws =
       incr j
     end
   done;
-  (* Sort the three parallel arrays by member id for binary search, then
-     turn each parent id into its index in the sorted row (-1 for the
-     owner), so a path walks back with one load per label. *)
-  let idx = Array.init size Fun.id in
-  Array.sort (fun a b -> Int.compare members.(a) members.(b)) idx;
-  let sorted = Array.map (fun i -> members.(i)) idx in
-  {
-    members = sorted;
-    dists = Array.map (fun i -> dists.(i)) idx;
-    parents =
-      Array.map (fun i -> if parents.(i) = v then -1 else find_index sorted parents.(i)) idx;
-    radius = !radius;
-  }
+  (* Turn each parent id into its index in the row (-1 for the owner),
+     so a path walks back with one load per label. *)
+  for j = 0 to size - 1 do
+    parents.(j) <- (if parents.(j) = v then -1 else find_index members parents.(j))
+  done;
+  { members; dists; parents; radius = !radius }
 
 let view t v =
   Disco_util.Pool.Memo.find_or_add t.cache v (fun ws -> compute t v ws)

@@ -6,6 +6,8 @@ type workspace = {
   par : int array;
   stamp : int array; (* which run last touched this slot *)
   settled : int array; (* which run settled this slot *)
+  order : int array; (* the run's settled nodes, in settle order... *)
+  mutable count : int; (* ...in its first [count] slots *)
   heap : int Heap.t;
   bound : float array; (* the [cap]/[reach_max]/[lightest] slots below *)
   mutable run : int;
@@ -30,7 +32,9 @@ let make_workspace g =
     par = Array.make n (-1);
     stamp = Array.make n (-1);
     settled = Array.make n (-1);
-    heap = Heap.create ();
+    order = Array.make n 0;
+    count = 0;
+    heap = Heap.create 0;
     bound = [| infinity; 0.0; !w_min |];
     run = 0;
     to_reach = 0;
@@ -43,6 +47,7 @@ let fresh_run ws g ~bound_after =
   if Graph.n ws.graph <> Graph.n g then
     invalid_arg "Dijkstra: workspace/graph mismatch";
   ws.run <- ws.run + 1;
+  ws.count <- 0;
   Heap.clear ws.heap;
   ws.to_reach <- bound_after;
   ws.bound.(cap) <- infinity;
@@ -51,7 +56,7 @@ let fresh_run ws g ~bound_after =
 
 let get_ws ws g = match ws with Some w -> w | None -> make_workspace g
 
-let touch ws run v d p =
+let[@inline] touch ws run v d p =
   ws.dist.(v) <- d;
   ws.par.(v) <- p;
   ws.stamp.(v) <- run
@@ -71,50 +76,55 @@ let[@inline] reach ws d =
   end
 
 (* Core loop. [stop] inspects each newly settled node (with its settle
-   index and distance) and returns true to halt. Pushes at or beyond the
-   cap B are skipped, and so is the scan of a node whose lightest
-   possible push would be. A tie at B can be skipped too: a node first
-   reached after B is fixed is pushed after the first push of each of
-   the k nodes that fixed it, and those pushes are all at most B, so
-   with the heap's ties broken by push order it never settles ahead of
-   them. The first k settled nodes, their distances and parents are
-   those of an unbounded run. *)
+   index, the number settled before it) and returns true to halt; every
+   node it lets pass is appended to [ws.order]. A node's first pop carries its final distance, since
+   every decrease pushes again, so the loop reads it from [ws.dist] and
+   relaxes over the CSR arrays directly: a closure per neighbour would
+   box each weight. Pushes at or beyond the cap B are skipped, and so is
+   the scan of a node whose lightest possible push would be. A tie at B
+   can be skipped too: a node first reached after B is fixed is pushed
+   after the first push of each of the k nodes that fixed it, and those
+   pushes are all at most B, so with the heap's ties broken by push order
+   it never settles ahead of them. The first k settled nodes, their
+   distances and parents are those of an unbounded run. *)
 let run_dijkstra ws g sources ~bound_after ~stop =
   let run = fresh_run ws g ~bound_after in
   (* On a graph of the same size the workspace was not made for, 0 is
      the lightest edge weight still known to be a lower bound. *)
   let w_min = if ws.graph == g then ws.bound.(lightest) else 0.0 in
+  let row, col, wgt = Graph.csr g in
   Array.iter
     (fun s ->
       touch ws run s 0.0 (-1);
       reach ws 0.0;
       Heap.push ws.heap 0.0 s)
     sources;
-  let settle_count = ref 0 in
   let halted = ref false in
   while (not !halted) && not (Heap.is_empty ws.heap) do
-    match Heap.pop ws.heap with
-    | None -> halted := true
-    | Some (d, u) ->
-        if not (is_settled ws run u) then begin
-          ws.settled.(u) <- run;
-          let idx = !settle_count in
-          incr settle_count;
-          if stop u idx d then halted := true
-          else if d +. w_min < ws.bound.(cap) then
-            Graph.iter_neighbors g u (fun v w ->
-                let nd = d +. w in
-                if nd < ws.bound.(cap) && not (is_settled ws run v) then
-                  if not (seen ws run v) then begin
-                    reach ws nd;
-                    touch ws run v nd u;
-                    Heap.push ws.heap nd v
-                  end
-                  else if nd < ws.dist.(v) then begin
-                    touch ws run v nd u;
-                    Heap.push ws.heap nd v
-                  end)
-        end
+    let u = Heap.pop_min ws.heap in
+    if not (is_settled ws run u) then begin
+      ws.settled.(u) <- run;
+      if stop u ws.count then halted := true
+      else begin
+        ws.order.(ws.count) <- u;
+        ws.count <- ws.count + 1;
+        let d = ws.dist.(u) in
+        if d +. w_min < ws.bound.(cap) then
+          for i = row.(u) to row.(u + 1) - 1 do
+            let v = col.(i) and nd = d +. wgt.(i) in
+            if nd < ws.bound.(cap) && not (is_settled ws run v) then
+              if not (seen ws run v) then begin
+                reach ws nd;
+                touch ws run v nd u;
+                Heap.push ws.heap nd v
+              end
+              else if nd < ws.dist.(v) then begin
+                touch ws run v nd u;
+                Heap.push ws.heap nd v
+              end
+          done
+      end
+    end
   done;
   run
 
@@ -124,8 +134,8 @@ let sssp ?ws ?until g src =
   let ws = get_ws ws g in
   let stop =
     match until with
-    | None -> fun _ _ _ -> false
-    | Some t -> fun u _ _ -> u = t
+    | None -> fun _ _ -> false
+    | Some t -> fun u _ -> u = t
   in
   let run = run_dijkstra ws g [| src |] ~bound_after:0 ~stop in
   let n = Graph.n g in
@@ -142,16 +152,8 @@ let distance ?ws g src dst =
   if src = dst then 0.0
   else begin
     let ws = get_ws ws g in
-    let result = ref infinity in
-    let stop u _ d =
-      if u = dst then begin
-        result := d;
-        true
-      end
-      else false
-    in
-    ignore (run_dijkstra ws g [| src |] ~bound_after:0 ~stop : int);
-    !result
+    let run = run_dijkstra ws g [| src |] ~bound_after:0 ~stop:(fun u _ -> u = dst) in
+    if is_settled ws run dst then ws.dist.(dst) else infinity
   end
 
 type truncated = {
@@ -162,32 +164,71 @@ type truncated = {
 }
 
 let collect_truncated ws g src ~bound_after ~stop =
-  let order = ref [] and count = ref 0 in
-  let stop' u idx d =
-    if stop u idx d then true
-    else begin
-      order := u :: !order;
-      incr count;
-      false
-    end
-  in
-  let run = run_dijkstra ws g [| src |] ~bound_after ~stop:stop' in
-  let order = Array.of_list (List.rev !order) in
-  let tdist = Array.map (fun v -> ws.dist.(v)) order in
-  let tparent =
-    Array.map (fun v -> if v = src then -1 else ws.par.(v)) order
-  in
-  ignore run;
+  ignore (run_dijkstra ws g [| src |] ~bound_after ~stop : int);
+  let count = ws.count in
+  let order = Array.sub ws.order 0 count in
+  let tdist = Array.create_float count and tparent = Array.make count (-1) in
+  (* The source settles first and keeps the parent -1 it started with. *)
+  for i = 0 to count - 1 do
+    tdist.(i) <- ws.dist.(order.(i));
+    tparent.(i) <- ws.par.(order.(i))
+  done;
   { source = src; order; tdist; tparent }
 
 let k_closest ?ws g src k =
   let ws = get_ws ws g in
   let k = min k (Graph.n g) in
-  collect_truncated ws g src ~bound_after:k ~stop:(fun _ idx _ -> idx >= k)
+  collect_truncated ws g src ~bound_after:k ~stop:(fun _ idx -> idx >= k)
 
 let within_radius ?ws g src r =
   let ws = get_ws ws g in
-  collect_truncated ws g src ~bound_after:0 ~stop:(fun _ _ d -> d >= r)
+  collect_truncated ws g src ~bound_after:0 ~stop:(fun u _ -> ws.dist.(u) >= r)
+
+(* Bits needed to write [x >= 0]. *)
+let rec bit_width x = if x = 0 then 0 else 1 + bit_width (x lsr 1)
+
+(* One stable counting pass of [keys] into [into], by the [width]-bit
+   digit at [shift]. *)
+let counting_pass keys into ~shift ~width =
+  let mask = (1 lsl width) - 1 in
+  let start = Array.make (mask + 2) 0 in
+  for i = 0 to Array.length keys - 1 do
+    let b = ((keys.(i) lsr shift) land mask) + 1 in
+    start.(b) <- start.(b) + 1
+  done;
+  for b = 1 to mask + 1 do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  for i = 0 to Array.length keys - 1 do
+    let b = (keys.(i) lsr shift) land mask in
+    into.(start.(b)) <- keys.(i);
+    start.(b) <- start.(b) + 1
+  done
+
+let id_order run =
+  let order = run.order in
+  let count = Array.length order in
+  (* Each key packs a node id above its settle index. The ids of a run
+     are distinct, so two stable passes over the id's low and high
+     halves sort the keys by id, and the low bits are then the settle
+     indexes in id order. *)
+  let max_id = ref 0 in
+  for i = 0 to count - 1 do
+    if order.(i) > !max_id then max_id := order.(i)
+  done;
+  let ibits = bit_width !max_id and sbits = bit_width count in
+  let keys = Array.make count 0 and tmp = Array.make count 0 in
+  for i = 0 to count - 1 do
+    keys.(i) <- (order.(i) lsl sbits) lor i
+  done;
+  let lo = (ibits + 1) / 2 in
+  counting_pass keys tmp ~shift:sbits ~width:lo;
+  counting_pass tmp keys ~shift:(sbits + lo) ~width:(ibits - lo);
+  let mask = (1 lsl sbits) - 1 in
+  for i = 0 to count - 1 do
+    keys.(i) <- keys.(i) land mask
+  done;
+  keys
 
 type multi = { mdist : float array; mparent : int array; msource : int array }
 
@@ -197,7 +238,7 @@ let multi_source g sources =
   let msource = Array.make n (-1) in
   (* Track the originating source through the forest: when a node settles,
      it inherits its parent's source label. *)
-  let stop u _ _ =
+  let stop u _ =
     let p = ws.par.(u) in
     msource.(u) <- (if p = -1 then u else msource.(p));
     false

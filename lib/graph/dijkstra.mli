@@ -9,7 +9,13 @@
     running Dijkstra from all n sources costs O(settled) resets per run
     instead of O(n). A workspace holds one run at a time, so it must never
     be shared by code running at once: a {!Disco_util.Pool.Memo} lends one
-    to each concurrent fill, and other callers keep one per task. *)
+    to each concurrent fill, and other callers keep one per task.
+
+    Every run is lazy-deletion Dijkstra over a {!Disco_util.Heap}: each
+    decrease of a node's tentative distance pushes it again, so the first
+    pop of an unsettled node carries its final distance (the run reads it
+    from the workspace) and later pops of a settled node are skipped.
+    Distance ties settle in push order. *)
 
 type workspace
 
@@ -56,6 +62,13 @@ val k_closest : ?ws:workspace -> Graph.t -> int -> int -> truncated
     pushed after the k nodes that fixed it, so it could only settle
     behind them. The order, distances and parents are those of the
     unbounded search. *)
+
+val id_order : truncated -> int array
+(** [id_order run] is [run]'s settle indexes in ascending node id:
+    [run.order.(p.(0)) < run.order.(p.(1)) < ...] for [p = id_order run].
+    Two stable counting passes over keys packing each node id above its
+    settle index, so a row of [c] nodes with ids below [2^b] sorts in
+    O(c + 2^(b/2)). *)
 
 val within_radius : ?ws:workspace -> Graph.t -> int -> float -> truncated
 (** [within_radius g src r] settles every node at distance < [r] — the

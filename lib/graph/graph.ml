@@ -74,6 +74,8 @@ let iter_neighbors t u f =
     f t.col.(i) t.wgt.(i)
   done
 
+let csr t = (t.row, t.col, t.wgt)
+
 let neighbors t u =
   List.init (degree t u) (fun i ->
       let j = t.row.(u) + i in

@@ -43,6 +43,13 @@ val neighbors : t -> int -> (int * float) list
 val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 (** Allocation-free iteration over [u]'s neighbors. *)
 
+val csr : t -> int array * int array * float array
+(** [csr g] is [(row, col, wgt)], the graph's own arrays, not copies:
+    [u]'s neighbors are [col.(i)] at weight [wgt.(i)] for [i] from
+    [row.(u)] to [row.(u + 1) - 1], ascending by id. For loops that relax
+    every edge, where {!iter_neighbors}'s closure call boxes each weight.
+    Read-only: writing to them corrupts the graph. *)
+
 val neighbor_at : t -> int -> int -> int
 (** [neighbor_at g u i] is the node reached by forwarding label [i] at
     [u] — {!nth_neighbor} without the weight, the bounds check or the

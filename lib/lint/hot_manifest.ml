@@ -60,6 +60,7 @@ let extras =
     "Disco_util.Bits.width_for";
     "Disco_core.Packed.Othello.query";
     "Disco_core.Packed.Csr.find_sorted";
+    "Disco_util.Heap.pop_min";
   ]
 
 (* Entry points whose function arguments run on pool domains (rule L8).

@@ -15,7 +15,7 @@ type 'msg t = {
 let create ?telemetry ~graph () =
   {
     graph;
-    events = Heap.create ();
+    events = Heap.create (Timer ignore);
     now = 0.0;
     handler = None;
     total_sent = 0;
@@ -53,20 +53,17 @@ let run ?until t =
     | Some h -> h
     | None -> invalid_arg "Sim.run: no handler installed"
   in
+  let until = Option.value until ~default:infinity in
   let continue = ref true in
-  while !continue do
-    match Heap.peek t.events with
-    | None -> continue := false
-    | Some (at, _) when (match until with Some u -> at > u | None -> false) ->
-        continue := false
-    | Some _ -> (
-        match Heap.pop t.events with
-        | None -> continue := false
-        | Some (at, ev) ->
-            t.now <- at;
-            (match ev with
-            | Deliver { dst; src; msg } -> handler dst ~src msg
-            | Timer f -> f ()))
+  while !continue && not (Heap.is_empty t.events) do
+    let at = Heap.min_prio t.events in
+    if at > until then continue := false
+    else begin
+      t.now <- at;
+      match Heap.pop_min t.events with
+      | Deliver { dst; src; msg } -> handler dst ~src msg
+      | Timer f -> f ()
+    end
   done
 
 let messages_sent t = t.total_sent

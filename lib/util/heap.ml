@@ -1,76 +1,97 @@
-type 'a entry = { prio : float; seq : int; value : 'a }
-
+(* Slot i's priority, push sequence number and value sit at index i of
+   three parallel arrays, so neither a push nor a pop allocates beyond the
+   arrays' doubling. Every value slot at or past [len] holds [filler]. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable prio : float array;
+  mutable seq : int array;
+  mutable value : 'a array;
   mutable len : int;
   mutable next_seq : int;
+  filler : 'a;
 }
 
-let create () = { data = [||]; len = 0; next_seq = 0 }
+let create filler =
+  { prio = [||]; seq = [||]; value = [||]; len = 0; next_seq = 0; filler }
 
 let is_empty t = t.len = 0
-(* disco-lint: allow L10 test_heap's "empty heap", "peek not destructive" and "size tracks pushes and pops" count entries through it *)
+(* disco-lint: allow L10 test_heap's "empty heap", "peek not destructive", "size tracks pushes and pops" and model test count entries through it *)
 let size t = t.len
+let[@inline] min_prio t = if t.len = 0 then infinity else t.prio.(0)
 
-let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
+(* Slot [a] pops before slot [b]: a lower priority, or the same one pushed
+   earlier. *)
+let[@inline] before t a b =
+  let pa = t.prio.(a) and pb = t.prio.(b) in
+  pa < pb || (pa = pb && t.seq.(a) < t.seq.(b))
 
-let ensure t =
-  if t.len >= Array.length t.data then begin
-    let cap = max 8 (2 * Array.length t.data) in
-    let data = Array.make cap t.data.(0) in
-    Array.blit t.data 0 data 0 t.len;
-    t.data <- data
+let[@inline] move t src dst =
+  t.prio.(dst) <- t.prio.(src);
+  t.seq.(dst) <- t.seq.(src);
+  t.value.(dst) <- t.value.(src)
+
+let grow t =
+  let cap = max 8 (2 * t.len) in
+  let prio = Array.make cap 0.0
+  and seq = Array.make cap 0
+  and value = Array.make cap t.filler in
+  Array.blit t.prio 0 prio 0 t.len;
+  Array.blit t.seq 0 seq 0 t.len;
+  Array.blit t.value 0 value 0 t.len;
+  t.prio <- prio;
+  t.seq <- seq;
+  t.value <- value
+
+(* Move the hole at [i] up past every parent of higher priority, then
+   fill it with the entry (p, s, v). [s] is the newest push, so a parent
+   of equal priority pops before it and stays put. *)
+let rec sift_up t i p s v =
+  let parent = (i - 1) / 2 in
+  if i > 0 && p < t.prio.(parent) then begin
+    move t parent i;
+    sift_up t parent p s v
   end
-
-let push t prio value =
-  let e = { prio; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  if Array.length t.data = 0 then t.data <- Array.make 8 e;
-  ensure t;
-  t.data.(t.len) <- e;
-  t.len <- t.len + 1;
-  (* Sift up. *)
-  let i = ref (t.len - 1) in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    less t.data.(!i) t.data.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.data.(!i) in
-    t.data.(!i) <- t.data.(parent);
-    t.data.(parent) <- tmp;
-    i := parent
-  done
-
-let peek t = if t.len = 0 then None else Some (t.data.(0).prio, t.data.(0).value)
-
-let pop t =
-  if t.len = 0 then None
   else begin
-    let top = t.data.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.data.(0) <- t.data.(t.len);
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
-        if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.data.(!i) in
-          t.data.(!i) <- t.data.(!smallest);
-          t.data.(!smallest) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
-    Some (top.prio, top.value)
+    t.prio.(i) <- p;
+    t.seq.(i) <- s;
+    t.value.(i) <- v
   end
 
-let clear t = t.len <- 0
+let push t p v =
+  if t.len = Array.length t.prio then grow t;
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i p s v
+
+(* Move the hole at [i] down past every child that pops before slot
+   [last], the entry that will fill it, and return where the hole ends.
+   The entry is compared in place: every child index is below [last], so
+   the descent never overwrites it, and its priority is never copied into
+   a boxed argument. *)
+let rec sift_down t i last =
+  let l = (2 * i) + 1 in
+  if l >= last then i
+  else begin
+    let c = if l + 1 < last && before t (l + 1) l then l + 1 else l in
+    if before t c last then begin
+      move t c i;
+      sift_down t c last
+    end
+    else i
+  end
+
+let pop_min t =
+  if t.len = 0 then t.filler
+  else begin
+    let top = t.value.(0) in
+    let last = t.len - 1 in
+    t.len <- last;
+    if last > 0 then move t last (sift_down t 0 last);
+    t.value.(last) <- t.filler;
+    top
+  end
+
+let clear t =
+  Array.fill t.value 0 t.len t.filler;
+  t.len <- 0

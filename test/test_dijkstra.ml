@@ -311,6 +311,33 @@ let test_k_closest_tie_at_cap () =
   Alcotest.(check (array int)) "k=3 keeps 2, not 3" [| 0; 1; 2 |]
     (Dijkstra.k_closest g 0 3).Dijkstra.order
 
+(* Minor words per settled node of a run on a lent workspace, on
+   G(1024, 4096): the heap, the settle loop and the relaxation allocate
+   nothing per node, so what is left is a boxed priority per push and
+   the result arrays. A record or closure per heap entry or per relaxed
+   edge costs tens of words per node. *)
+let test_kernel_minor_words () =
+  let g = Disco_graph.Gen.gnm ~rng:(Disco_util.Rng.create 5) ~n:1024 ~m:4096 in
+  let ws = Dijkstra.make_workspace g in
+  let per_settled name run settled =
+    ignore (run 0 : int);
+    let words = ref 0.0 and nodes = ref 0 in
+    for src = 0 to 63 do
+      let before = Gc.minor_words () in
+      let s = run src in
+      words := !words +. (Gc.minor_words () -. before);
+      nodes := !nodes + s
+    done;
+    let per = !words /. float_of_int !nodes in
+    if per > settled then
+      Alcotest.failf "%s: %.1f minor words per settled node (bound %.0f)" name per settled
+  in
+  let finite a = Array.fold_left (fun c d -> if d < infinity then c + 1 else c) 0 a in
+  per_settled "sssp" (fun src -> finite (Dijkstra.sssp ~ws g src).Dijkstra.dist) 8.0;
+  per_settled "k_closest"
+    (fun src -> Array.length (Dijkstra.k_closest ~ws g src 33).Dijkstra.order)
+    12.0
+
 let suite =
   [
     Alcotest.test_case "sssp diamond" `Quick test_sssp_diamond;
@@ -325,6 +352,7 @@ let suite =
     Alcotest.test_case "truncated_lookup" `Quick test_truncated_lookup;
     Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
     Alcotest.test_case "k_closest skips ties at the cap" `Quick test_k_closest_tie_at_cap;
+    Alcotest.test_case "kernel minor words per settled node" `Quick test_kernel_minor_words;
     prop_matches_floyd;
     prop_weighted_matches_floyd;
     prop_k_closest_agrees_with_sssp;

@@ -157,6 +157,60 @@ let prop_parent_index_chains =
             (List.init n Fun.id))
         [ 0; 1; 2; n / 2; n - 1; n ])
 
+(* V(v) as the k_closest run minus the owner, sorted by id with
+   [Array.sort]: members, distance bits and parent indexes (-1 for the
+   owner). *)
+let sorted_run ws g v k =
+  let run = Dijkstra.k_closest ~ws g v (k + 1) in
+  let idx =
+    List.init (Array.length run.Dijkstra.order) Fun.id
+    |> List.filter (fun i -> run.Dijkstra.order.(i) <> v)
+    |> Array.of_list
+  in
+  Array.sort (fun a b -> Int.compare run.Dijkstra.order.(a) run.Dijkstra.order.(b)) idx;
+  let members = Array.map (fun i -> run.Dijkstra.order.(i)) idx in
+  let index = Hashtbl.create (Array.length members) in
+  Array.iteri (fun j w -> Hashtbl.replace index w j) members;
+  let parent i =
+    let p = run.Dijkstra.tparent.(i) in
+    if p = v then -1 else Hashtbl.find index p
+  in
+  ( members,
+    Array.map (fun i -> Int64.bits_of_float run.Dijkstra.tdist.(i)) idx,
+    Array.map parent idx )
+
+(* The row is sorted by a radix sort whose two digits split the bits of
+   the row's largest id, so n runs across each width change that
+   matters: tiny rows, 6 to 7 bits, and 12 to 13 bits. Every node is
+   checked, except that past n = 100 the rows of n/2 and n members are
+   checked at every 101st node and the last three: all of them would
+   take minutes. *)
+let test_rows_match_sorted_runs () =
+  List.iter
+    (fun n ->
+      let g = Disco_graph.Gen.gnm ~rng:(Disco_util.Rng.create n) ~n ~m:(2 * n) in
+      let ws = Dijkstra.make_workspace g in
+      List.iter
+        (fun k ->
+          let vic = Vicinity.create g ~k in
+          let owners =
+            if n <= 100 || k <= 1 then List.init n Fun.id
+            else List.init ((n / 101) + 1) (fun i -> i * 101) @ [ n - 3; n - 2; n - 1 ]
+          in
+          List.iter
+            (fun v ->
+              let vw = Vicinity.view vic v in
+              let members, dist_bits, parents = sorted_run ws g v k in
+              let name what = Printf.sprintf "n=%d k=%d v=%d %s" n k v what in
+              Alcotest.(check (array int)) (name "members") members vw.Vicinity.members;
+              Alcotest.(check (array int64))
+                (name "distance bits") dist_bits
+                (Array.map Int64.bits_of_float vw.Vicinity.dists);
+              Alcotest.(check (array int)) (name "parents") parents vw.Vicinity.parents)
+            owners)
+        [ 0; 1; n / 2; n ])
+    [ 1; 2; 3; 4; 5; 63; 64; 65; 4095; 4096; 4097 ]
+
 let suite =
   [
     Alcotest.test_case "members are k closest" `Quick test_members_are_k_closest;
@@ -167,6 +221,8 @@ let suite =
     Alcotest.test_case "first hop count" `Quick test_first_hop_count;
     Alcotest.test_case "cache" `Quick test_cache;
     Alcotest.test_case "k = 0" `Quick test_k_zero;
+    Alcotest.test_case "rows match the sorted k_closest run" `Quick
+      test_rows_match_sorted_runs;
     prop_vicinity_asymmetric_ok;
     prop_parent_index_chains;
   ]
